@@ -1,8 +1,10 @@
 """Run the block-community simulation study and write result tables.
 
 Defaults reproduce a scaled version of the full study (d=30, horizons
-250/500/1000, 10 replications).  Pass --full for the d=100 scale; expect
-a long runtime.
+250/500/1000, 10 replications).  Pass --full for the d=100 scale, horizons
+up to 5000.  There the event sweeps cost O(N * d) time and O(d^2) Gram
+memory (under a second per window of about 1e5 events); the run time is
+the cross-validated solver runs, which take a d x d SVD per PRISMA step.
 """
 
 import argparse

@@ -74,7 +74,7 @@ def compute_noise(params_true: ModelParams, data: EventData) -> NoiseMatrices:
     gram = precompute_gram(data, params_true.alpha)
     T = data.horizon_T
     mu, A = params_true.mu, params_true.A
-    GA = np.einsum("jkl,jl->jk", gram.G, A)
+    GA = gram.apply(A)
     Z = T * (gram.S - (mu[:, None] * gram.psi + GA))
     M_T = gram.counts - T * (mu + np.einsum("jk,jk->j", A, gram.psi))
     opnorm_Z = float(np.linalg.norm(Z, 2)) if Z.size else 0.0
@@ -118,16 +118,22 @@ def default_bound_params(d: int, mu: float = 0.5, coupling_opnorm: float = 0.5,
     return ModelParams(mu=np.full(d, mu), A=A, alpha=np.full((d, d), alpha))
 
 
-def _run_reps(params: ModelParams, horizon_T: float, x: float, n_reps: int,
-              seed: int, violation_fn) -> int:
-    count = 0
+def _check(bound_id: str, prob_const: float, params: ModelParams,
+           horizon_T: float, x: float, n_reps: int, seed: int,
+           violated) -> BoundReport:
+    """Count the replications where ``violated(stats, noise)`` holds."""
+    if x <= 0 or n_reps < 1:
+        raise ValueError("need x > 0 and n_reps >= 1")
+    k = 0
     for rep in range(n_reps):
         data = simulate_replication(params, horizon_T, seed, rep)
         stats = compute_stats(data, params.alpha)
-        noise = compute_noise(params, data)
-        if violation_fn(stats, noise):
-            count += 1
-    return count
+        k += bool(violated(stats, compute_noise(params, data)))
+    return BoundReport(bound_id=bound_id, x=x, n_reps=n_reps,
+                       violation_count=k,
+                       stated_bound=min(prob_const * math.exp(-x), 1.0),
+                       empirical_rate=k / n_reps,
+                       wilson_ci=wilson_interval(k, n_reps))
 
 
 def check_pointwise_bound(params: ModelParams, horizon_T: float, x: float,
@@ -137,35 +143,19 @@ def check_pointwise_bound(params: ModelParams, horizon_T: float, x: float,
     Both signs of Z are checked (the proof-side usage of the bound is
     two-sided with the same probability budget).
     """
-    if x <= 0 or n_reps < 1:
-        raise ValueError("need x > 0 and n_reps >= 1")
-    T = horizon_T
-
     def violated(stats, noise):
         rhs = pointwise_bound_rhs(stats, x)
-        return bool(np.any(np.abs(noise.Z) / T > rhs))
+        return np.any(np.abs(noise.Z) / horizon_T > rhs)
 
-    k = _run_reps(params, T, x, n_reps, seed, violated)
-    bound = POINTWISE_PROB_CONST * math.exp(-x)
-    return BoundReport(bound_id="pointwise", x=x, n_reps=n_reps,
-                       violation_count=k, stated_bound=min(bound, 1.0),
-                       empirical_rate=k / n_reps,
-                       wilson_ci=wilson_interval(k, n_reps))
+    return _check("pointwise", POINTWISE_PROB_CONST, params, horizon_T, x,
+                  n_reps, seed, violated)
 
 
 def check_opnorm_bound(params: ModelParams, horizon_T: float, x: float,
                        n_reps: int, seed: int) -> BoundReport:
     """Violation rate of the operator-norm bound on Z(T) / T."""
-    if x <= 0 or n_reps < 1:
-        raise ValueError("need x > 0 and n_reps >= 1")
-    T = horizon_T
-
     def violated(stats, noise):
-        return noise.opnorm_Z / T > opnorm_bound_rhs(stats, x)
+        return noise.opnorm_Z / horizon_T > opnorm_bound_rhs(stats, x)
 
-    k = _run_reps(params, T, x, n_reps, seed, violated)
-    bound = OPNORM_PROB_CONST * math.exp(-x)
-    return BoundReport(bound_id="operator-norm", x=x, n_reps=n_reps,
-                       violation_count=k, stated_bound=min(bound, 1.0),
-                       empirical_rate=k / n_reps,
-                       wilson_ci=wilson_interval(k, n_reps))
+    return _check("operator-norm", OPNORM_PROB_CONST, params, horizon_T, x,
+                  n_reps, seed, violated)

@@ -11,21 +11,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import io
 from .bounds import check_opnorm_bound, check_pointwise_bound, \
     default_bound_params
-from .experiment import ExperimentConfig, aggregate, run_experiment, \
-    write_aggregate_csv, write_rows_csv
-from .features import PenaltyWeights, compute_stats, constant_weights, \
-    practical_weights, theoretical_weights
+from .experiment import PROCEDURES, ExperimentConfig, aggregate, \
+    procedure_config, run_experiment, write_aggregate_csv, write_rows_csv
+from .features import compute_stats, constant_weights, practical_weights, \
+    theoretical_weights
 from .metrics import evaluate
 from .model import ModelParams
-from .penalty import PenaltySpec
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
-from .solver import FitConfig, cross_validate, fit_hawkes
+from .solver import cross_validate, fit_hawkes
 
 
 def _load_config_file(args) -> dict:
@@ -45,24 +45,25 @@ def _write_params(params: ModelParams, out_dir: str, support=None) -> None:
                             os.path.join(out_dir, "support.csv"))
 
 
-def _scenario_from_args(args, cfg: dict) -> ScenarioConfig:
+def _scenario(cfg: dict, d, seed, alpha=1.0) -> ScenarioConfig:
+    """Scenario from JSON keys; d, seed and alpha are the defaults."""
     boxes = cfg.get("box_ranges")
     return ScenarioConfig(
-        d=cfg.get("d", args.d),
-        seed=cfg.get("seed", args.seed),
+        d=cfg.get("d", d),
+        seed=cfg.get("seed", seed),
         baseline_range=tuple(cfg.get("baseline_range", (0.0, 0.1))),
         box_ranges=tuple(tuple(b) for b in boxes) if boxes else None,
         box_value_range=tuple(cfg.get("box_value_range", (0.0, 0.2))),
         target_opnorm=cfg.get("target_opnorm", 0.8),
-        alpha=cfg.get("alpha", args.alpha),
+        alpha=cfg.get("alpha", alpha),
     )
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config_file(args)
     if args.scenario or "box_ranges" in cfg:
-        sc = _scenario_from_args(args, cfg)
-        params, support = generate_scenario(sc)
+        params, support = generate_scenario(
+            _scenario(cfg, args.d, args.seed, args.alpha))
     else:
         d = cfg.get("d", args.d)
         mu = np.full(d, cfg.get("mu", args.mu))
@@ -92,40 +93,22 @@ def _weights_from_args(args, stats):
         x = args.x if args.x is not None else float(np.log(stats.d))
         return theoretical_weights(stats, x)
     if args.weighting == "practical":
-        w = practical_weights(stats, args.c1, args.c2, args.tau)
-        return w
+        return practical_weights(stats, args.c1, args.c2, args.tau)
     return constant_weights(stats.d, args.c1, args.c2, args.tau)
 
 
-def _fit_config_for_procedure(args, d: int) -> FitConfig:
-    proc = args.procedure
-    if proc == "NoPen":
-        weights = PenaltyWeights(w=np.zeros(d), W=np.zeros((d, d)), tau=0.0,
-                                 x=0.0, mode="constant")
-        spec = PenaltySpec(weights=weights, use_l1_mu=False, use_l1_A=False,
-                           use_trace=False)
-        return FitConfig(penalty=spec, loss_kind=args.loss,
-                         max_iter=args.max_iter)
-    use_trace = proc.endswith("Nuclear")
-    # weights filled in by the caller after computing stats
-    spec = PenaltySpec(weights=constant_weights(d, 1.0, 1.0),
-                       use_l1_mu=True, use_l1_A=True, use_trace=use_trace)
-    return FitConfig(penalty=spec, loss_kind=args.loss, max_iter=args.max_iter)
-
-
 def cmd_fit(args) -> int:
-    from dataclasses import replace
     data = io.read_events(args.events)
     d = data.d
     alpha = io.read_matrix_csv(args.alpha_file) if args.alpha_file \
         else np.full((d, d), args.alpha)
     out_dir = io.ensure_dir(args.out_dir)
-    cfg = _fit_config_for_procedure(args, d)
+    cfg = procedure_config(args.procedure, d, args.loss, args.max_iter)
     if args.procedure != "NoPen":
-        stats = compute_stats(data, alpha)
-        weighted = args.procedure.startswith("w")
-        if weighted:
-            weights = practical_weights(stats, args.c1, args.c2, args.tau)
+        # constant weights read no statistics
+        if args.procedure.startswith("w"):
+            weights = practical_weights(compute_stats(data, alpha), args.c1,
+                                        args.c2, args.tau)
         else:
             weights = constant_weights(d, args.c1, args.c2, args.tau)
         cfg = replace(cfg, penalty=replace(cfg.penalty, weights=weights))
@@ -158,7 +141,7 @@ def cmd_xval(args) -> int:
     data = io.read_events(args.events)
     d = data.d
     alpha = np.full((d, d), args.alpha)
-    cfg = _fit_config_for_procedure(args, d)
+    cfg = procedure_config(args.procedure, d, args.loss, args.max_iter)
     weighting = "practical" if args.procedure.startswith("w") else "constant"
     tau_grid = tuple(args.tau_grid) if args.procedure.endswith("Nuclear") \
         else (0.0,)
@@ -192,41 +175,19 @@ def cmd_experiment(args) -> int:
     with open(args.config) as f:
         cfg_json = json.load(f)
     sc_json = cfg_json["scenario"]
-    scenario = ScenarioConfig(
-        d=sc_json["d"], seed=sc_json.get("seed", cfg_json.get("seed", 0)),
-        baseline_range=tuple(sc_json.get("baseline_range", (0.0, 0.1))),
-        box_ranges=tuple(tuple(b) for b in sc_json["box_ranges"])
-        if sc_json.get("box_ranges") else None,
-        box_value_range=tuple(sc_json.get("box_value_range", (0.0, 0.2))),
-        target_opnorm=sc_json.get("target_opnorm", 0.8),
-        alpha=sc_json.get("alpha", 1.0),
-    )
+    grids = {name: tuple(cfg_json[name])
+             for name in (fd.name for fd in fields(ExperimentConfig))
+             if "grid" in name and name in cfg_json}
     cfg = ExperimentConfig(
-        scenario=scenario,
+        scenario=_scenario(sc_json, sc_json["d"], cfg_json.get("seed", 0)),
         horizons=tuple(cfg_json["horizons"]),
         n_replications=cfg_json["n_replications"],
         seed=cfg_json.get("seed", 0),
-        procedures=tuple(cfg_json.get("procedures",
-                                      ("NoPen", "L1", "wL1", "L1Nuclear",
-                                       "wL1Nuclear"))),
+        procedures=tuple(cfg_json.get("procedures", PROCEDURES)),
         loss_kind=cfg_json.get("loss_kind", "least-squares"),
-        c1_grid_weighted=tuple(cfg_json.get(
-            "c1_grid_weighted", ExperimentConfig.c1_grid_weighted)),
-        c2_grid_weighted=tuple(cfg_json.get(
-            "c2_grid_weighted", ExperimentConfig.c2_grid_weighted)),
-        c1_grid_weighted_nuclear=tuple(cfg_json.get(
-            "c1_grid_weighted_nuclear",
-            ExperimentConfig.c1_grid_weighted_nuclear)),
-        c2_grid_weighted_nuclear=tuple(cfg_json.get(
-            "c2_grid_weighted_nuclear",
-            ExperimentConfig.c2_grid_weighted_nuclear)),
-        c1_grid_constant=tuple(cfg_json.get(
-            "c1_grid_constant", ExperimentConfig.c1_grid_constant)),
-        c2_grid_constant=tuple(cfg_json.get(
-            "c2_grid_constant", ExperimentConfig.c2_grid_constant)),
-        tau_grid=tuple(cfg_json.get("tau_grid", ExperimentConfig.tau_grid)),
         max_iter=cfg_json.get("max_iter", 100),
         jobs=args.jobs,
+        **grids,
     )
     out_dir = io.ensure_dir(args.out_dir)
     rows = run_experiment(cfg)

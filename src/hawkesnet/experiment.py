@@ -66,7 +66,10 @@ COLUMNS = ("procedure", "T", "rep", "error", "auc",
            "c1", "c2", "tau", "iterations", "converged")
 
 
-def _fit_config(cfg: ExperimentConfig, procedure: str, d: int) -> FitConfig:
+def procedure_config(procedure: str, d: int,
+                     loss_kind: str = "least-squares",
+                     max_iter: int = 100) -> FitConfig:
+    """Fit configuration of a procedure; weights are filled in by the caller."""
     if procedure == "NoPen":
         weights = PenaltyWeights(w=np.zeros(d), W=np.zeros((d, d)), tau=0.0,
                                  x=0.0, mode="constant")
@@ -76,8 +79,7 @@ def _fit_config(cfg: ExperimentConfig, procedure: str, d: int) -> FitConfig:
         _, use_trace = _PROC_SPEC[procedure]
         spec = PenaltySpec(weights=constant_weights(d, 1.0, 1.0),
                            use_l1_mu=True, use_l1_A=True, use_trace=use_trace)
-    return FitConfig(penalty=spec, loss_kind=cfg.loss_kind,
-                     max_iter=cfg.max_iter)
+    return FitConfig(penalty=spec, loss_kind=loss_kind, max_iter=max_iter)
 
 
 def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
@@ -88,7 +90,8 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
     for T in cfg.horizons:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
-            fit_cfg = _fit_config(cfg, procedure, params.d)
+            fit_cfg = procedure_config(procedure, params.d, cfg.loss_kind,
+                                       cfg.max_iter)
             if procedure == "NoPen":
                 result = fit_hawkes(data, alpha, fit_cfg)
                 c1 = c2 = tau = 0.0

@@ -4,9 +4,12 @@ All statistics are built from the matrix-valued process
 
     H[j, k](t) = sum_{t_{k,i} < t} exp(-alpha[j, k] * (t - t_{k,i})),
 
-which is left-continuous (events at exactly t excluded) and decays between
-events.  One sweep over the merged event stream maintains H by the usual
-exponential recursion, so everything costs O(total events * d^2).
+which is left-continuous (every event at exactly t excluded) and decays
+between events.  Rows of H with equal decay rows alpha[j, :] are equal, so
+``excitation_states`` runs the exponential recursion (Ozaki 1979) once per
+distinct decay row, O(N * d) for N merged events, and everything here and
+in ``loss`` is array algebra over its N x d states.  A uniform alpha has
+one distinct row: O(N * d) time and O(d^2) memory beyond the states.
 """
 
 from __future__ import annotations
@@ -26,10 +29,99 @@ TAU_SQRT = 8.0
 TAU_LIN_A = 10.34
 TAU_LIN_B = 2.65
 
+#: events x d x d elements per chunk of the Gram sum of a varying decay row
+GRAM_CHUNK = 1 << 20
+
+
+def _rates(a, dt) -> np.ndarray:
+    """a * dt per interval: (N, 1) when the decays a are equal, else (N, d)."""
+    if np.ptp(a) == 0:
+        return (a[0] * dt)[:, None]
+    return np.multiply.outer(dt, a)
+
+
+@dataclass(frozen=True)
+class ExcitationStates:
+    """The excitation state of one decay row a at the N merged events.
+
+    x_k(t) = sum_{t_{k,i} < t} exp(-a[k] * (t - t_{k,i})) is H[j, :] for
+    every row j of alpha equal to a.  left[n] = x(t_n-) excludes every event
+    at t_n; post[n] is x on the seg[n] long segment from event n to the next
+    event or T.  Of events at one timestamp only the last has a nonempty
+    segment, and its post state carries all their jumps.
+    """
+
+    decay: np.ndarray  # (d,)
+    nodes: np.ndarray  # (N,)
+    left: np.ndarray  # (N, d)
+    post: np.ndarray  # (N, d)
+    seg: np.ndarray  # (N,)
+
+    def integral(self) -> np.ndarray:
+        """int_0^T x(t) dt."""
+        rates = _rates(self.decay, self.seg)
+        return np.sum(-np.expm1(-rates) / self.decay * self.post, axis=0)
+
+    def gram(self) -> np.ndarray:
+        """int_0^T x(t) x(t)^T dt: one GEMM when the decays are equal, else
+        sum_n (y_n y_n^T) * C_n over chunks of events, O(d^2) memory each."""
+        a, y, seg = self.decay, self.post, self.seg
+        if np.ptp(a) == 0:
+            w = y * np.sqrt(-np.expm1(-2 * a[0] * seg) / (2 * a[0]))[:, None]
+            return w.T @ w
+        asum = a[:, None] + a[None, :]
+        G = np.zeros_like(asum)
+        step = max(1, GRAM_CHUNK // asum.size)
+        for i in range(0, seg.size, step):
+            c = -np.expm1(-asum * seg[i:i + step, None, None]) / asum
+            G += np.einsum("nk,nl,nkl->kl", y[i:i + step], y[i:i + step], c)
+        return G
+
+
+def excitation_states(data, decay_row) -> ExcitationStates:
+    """One O(N * d) sweep of the exponential recursion for one decay row."""
+    a = np.asarray(decay_row, dtype=float)
+    times, nodes = data.merged()
+    N = times.size
+    gaps = np.diff(times, prepend=0.0)
+    decay = np.exp(-_rates(a, gaps))
+    left = np.empty((N, data.d))
+    x = np.zeros(data.d)
+    for n, l in enumerate(nodes.tolist()):
+        x *= decay[n]
+        left[n] = x
+        x[l] += 1.0
+    idx = np.arange(N)
+    last = idx
+    if N and not np.all(gaps[1:] > 0):
+        # every event of a timestamp reads the state before the first of
+        # them; the last of them carries the jumps of all
+        starts = gaps > 0
+        left = left[np.maximum.accumulate(np.where(starts, idx, 0))]
+        ends = np.append(starts[1:], True)
+        last = np.minimum.accumulate(np.where(ends, idx, N)[::-1])[::-1]
+    post = left.copy()
+    post[last, nodes] += 1.0
+    return ExcitationStates(decay=a, nodes=nodes, left=left, post=post,
+                            seg=np.diff(times, append=data.horizon_T))
+
+
+def block_states(data, alpha):
+    """Excitation states per distinct row of alpha, and each row's block."""
+    rows, row_block = np.unique(np.asarray(alpha, dtype=float), axis=0,
+                                return_inverse=True)
+    return [excitation_states(data, a) for a in rows], row_block.reshape(-1)
+
+
+def left_limits_by_node(states, row_block) -> tuple:
+    """(n_j, d) left limits H[j, :](t-) at the events of each node j."""
+    return tuple(states[b].left[states[b].nodes == j]
+                 for j, b in enumerate(row_block.tolist()))
+
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Sweep outputs over a window [0, T].
+    """Statistics of H over a window [0, T].
 
     H_at_events[j] is an (n_j, d) array of left-limits H[j, :](t-) at the
     events of node j.  B holds running suprema of H, Vhat / Vhat1 / Vhat2
@@ -65,50 +157,33 @@ class PenaltyWeights:
 
 
 def compute_stats(data, alpha) -> FeatureStats:
-    """Single-sweep computation of H left-limits, B, Vhat, Vhat1, Vhat2."""
-    alpha = np.asarray(alpha, dtype=float)
+    """H left-limits, B, Vhat, Vhat1, Vhat2 and sup_H_2inf from the states."""
     d, T = data.d, data.horizon_T
-    times, nodes = data.merged()
-
-    G = np.zeros((d, d))
-    B = np.zeros((d, d))
-    Vhat = np.zeros((d, d))
-    Vhat1 = np.zeros(d)
-    Vhat2 = np.zeros((d, d))
-    sup_h2inf = 0.0
-    H_lists = [[] for _ in range(d)]
-    t_prev = 0.0
-    for t, l in zip(times, nodes):
-        if t > t_prev:
-            G *= np.exp(-alpha * (t - t_prev))
-        row = G[l].copy()
-        H_lists[l].append(row)
-        Vhat[l] += row * row
-        row_sq = np.einsum("jk,jk->j", G, G)
-        h2inf_sq = float(row_sq.max())
-        Vhat1[l] += h2inf_sq
-        denom = row_sq[l]
-        if denom > 0:
-            col = G[:, l]
-            Vhat2 += (h2inf_sq / denom) * np.outer(col, col)
-        G[:, l] += 1.0
-        np.maximum(B[:, l], G[:, l], out=B[:, l])
-        post_sq = float(np.einsum("jk,jk->j", G, G).max())
-        if post_sq > sup_h2inf:
-            sup_h2inf = post_sq
-        t_prev = t
-
-    H_at_events = tuple(
-        np.array(H_lists[j]).reshape(len(H_lists[j]), d) for j in range(d)
-    )
+    states, row_block = block_states(data, alpha)
+    H = left_limits_by_node(states, row_block)
+    nodes = states[0].nodes
+    idx = np.arange(nodes.size)
+    # per event n and block b: H[j, l_n](t_n-) and |H[j, :](t_n-)|^2, j in b
+    own = np.stack([s.left[idx, nodes] for s in states], axis=1)
+    sq = np.stack([np.einsum("nk,nk->n", s.left, s.left) for s in states],
+                  axis=1)
+    h2inf_sq = sq.max(axis=1)
+    denom = sq[idx, row_block[nodes]]
+    ratio = np.divide(h2inf_sq, denom, out=np.zeros_like(denom),
+                      where=denom > 0)
+    Vhat2 = (own * ratio[:, None]).T @ own
+    # H[:, k] jumps only at the events of node k, so its sup follows one
+    B = np.stack([s.post.max(axis=0, initial=0.0) for s in states])
+    post_sq = max(np.einsum("nk,nk->n", s.post, s.post).max(initial=0.0)
+                  for s in states)
     return FeatureStats(
         horizon_T=T,
-        H_at_events=H_at_events,
-        B=B,
-        Vhat=Vhat / T,
-        Vhat1=Vhat1 / T,
-        Vhat2=Vhat2 / T,
-        sup_H_2inf=math.sqrt(sup_h2inf),
+        H_at_events=H,
+        B=B[row_block],
+        Vhat=np.array([np.sum(h * h, axis=0) for h in H]) / T,
+        Vhat1=np.bincount(nodes, weights=h2inf_sq, minlength=d) / T,
+        Vhat2=Vhat2[np.ix_(row_block, row_block)] / T,
+        sup_H_2inf=math.sqrt(post_sq),
         node_counts=data.counts,
     )
 

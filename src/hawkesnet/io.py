@@ -19,16 +19,11 @@ from .model import EventData
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> float:
-    # round-trip through repr keeps full precision in JSON
-    return float(x)
-
-
 def write_events_json(data: EventData, path: str) -> None:
     payload = {
         "d": data.d,
-        "T": _fmt(data.horizon_T),
-        "events": [[_fmt(t) for t in ev] for ev in data.events],
+        "T": float(data.horizon_T),
+        "events": [ev.tolist() for ev in data.events],
     }
     with open(path, "w") as f:
         json.dump(payload, f)

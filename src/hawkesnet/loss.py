@@ -1,11 +1,14 @@
 """Least-squares and negative log-likelihood losses with exact gradients.
 
 Both losses are evaluated from caches that are independent of the
-parameters, so solver iterations never touch the raw event stream:
+parameters, so solver iterations never touch the raw event stream.  The
+caches are array algebra over the excitation states of
+``features.excitation_states`` (one O(N * d) recursion per distinct decay
+row of alpha, one in all when alpha is uniform):
 
 * least squares uses closed-form Gram integrals of the excitation process
   H (pairwise products of decaying exponentials integrate analytically
-  between consecutive events);
+  between consecutive events), one d x d block per distinct decay row;
 * the log-likelihood uses the per-event left-limits of H plus the
   integrals of H over the window.
 """
@@ -15,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .features import block_states, left_limits_by_node
 
 
 @dataclass(frozen=True)
@@ -29,14 +34,22 @@ class LossValueGrad:
 class PrecomputedGram:
     """Normalized integrals entering the least-squares expansion.
 
-    psi[j, k]  = (1/T) int_0^T H[j, k](t) dt
-    G[j, k, l] = (1/T) int_0^T H[j, k](t) H[j, l](t) dt
-    S[j, k]    = (1/T) sum over events t of node j of H[j, k](t-)
+    psi[j, k] = (1/T) int_0^T H[j, k](t) dt
+    S[j, k]   = (1/T) sum over events t of node j of H[j, k](t-)
+
+    Rows j of H with equal decay rows alpha[j, :] are equal, so the Gram
+    integrals are kept once per distinct decay row: row j reads block
+    b = row_block[j],
+
+    G[b, k, l] = (1/T) int_0^T H[j, k](t) H[j, l](t) dt,
+
+    a single (1, d, d) block when alpha is uniform.
     """
 
     horizon_T: float
     psi: np.ndarray
     G: np.ndarray
+    row_block: np.ndarray
     S: np.ndarray
     counts: np.ndarray
 
@@ -44,52 +57,32 @@ class PrecomputedGram:
     def d(self) -> int:
         return self.psi.shape[0]
 
+    def block(self, j: int) -> np.ndarray:
+        """The (d, d) Gram integrals of row j."""
+        return self.G[self.row_block[j]]
+
+    def apply(self, A) -> np.ndarray:
+        """Each row of A through its Gram block: out[j] = G_j @ A[j]."""
+        out = np.empty_like(A)
+        for b, G in enumerate(self.G):
+            rows = self.row_block == b
+            out[rows] = A[rows] @ G.T
+        return out
+
 
 def precompute_gram(data, alpha) -> PrecomputedGram:
     """Closed-form Gram integrals, exact up to floating point."""
-    alpha = np.asarray(alpha, dtype=float)
-    d, T = data.d, data.horizon_T
-    times, nodes = data.merged()
-
-    uniform = bool(np.ptp(alpha) == 0) if alpha.size else True
-    a0 = float(alpha.flat[0]) if alpha.size else 1.0
-    if not uniform:
-        asum = alpha[:, :, None] + alpha[:, None, :]
-
-    Gst = np.zeros((d, d))
-    psi = np.zeros((d, d))
-    Gram = np.zeros((d, d, d))
-    S = np.zeros((d, d))
-    counts = np.zeros(d, dtype=int)
-    t_prev = 0.0
-
-    def integrate_segment(dt: float):
-        if dt <= 0:
-            return
-        P = np.einsum("jk,jl->jkl", Gst, Gst)
-        if uniform:
-            E = np.exp(-a0 * dt)
-            psi_coef = (1.0 - E) / a0
-            gram_coef = (1.0 - E * E) / (2 * a0)
-            psi[...] += Gst * psi_coef
-            Gram[...] += P * gram_coef
-            Gst[...] *= E
-        else:
-            E = np.exp(-alpha * dt)
-            psi[...] += Gst * (1.0 - E) / alpha
-            Gram[...] += P * (1.0 - np.exp(-asum * dt)) / asum
-            Gst[...] *= E
-
-    for t, l in zip(times, nodes):
-        integrate_segment(t - t_prev)
-        S[l] += Gst[l]
-        counts[l] += 1
-        Gst[:, l] += 1.0
-        t_prev = t
-    integrate_segment(T - t_prev)
-
-    return PrecomputedGram(horizon_T=T, psi=psi / T, G=Gram / T, S=S / T,
-                           counts=counts)
+    T = data.horizon_T
+    states, row_block = block_states(data, alpha)
+    H = left_limits_by_node(states, row_block)
+    return PrecomputedGram(
+        horizon_T=T,
+        psi=np.stack([s.integral() for s in states])[row_block] / T,
+        G=np.stack([s.gram() for s in states]) / T,
+        row_block=row_block,
+        S=np.array([h.sum(axis=0) for h in H]) / T,
+        counts=data.counts,
+    )
 
 
 def least_squares(mu, A, gram: PrecomputedGram) -> LossValueGrad:
@@ -99,7 +92,7 @@ def least_squares(mu, A, gram: PrecomputedGram) -> LossValueGrad:
     if mu.shape[0] != gram.d or A.shape != (gram.d, gram.d):
         raise ValueError("dimension mismatch with precomputed Gram")
     T = gram.horizon_T
-    GA = np.einsum("jkl,jl->jk", gram.G, A)
+    GA = gram.apply(A)
     value = float(
         np.sum(mu * mu)
         + 2 * np.sum(mu * np.einsum("jk,jk->j", A, gram.psi))
@@ -131,34 +124,12 @@ class LogLikCache:
 
 
 def build_loglik_cache(data, alpha) -> LogLikCache:
-    alpha = np.asarray(alpha, dtype=float)
-    d, T = data.d, data.horizon_T
-    times, nodes = data.merged()
-
-    Gst = np.zeros((d, d))
-    int_H = np.zeros((d, d))
-    H_lists = [[] for _ in range(d)]
-    t_prev = 0.0
-
-    def integrate_segment(dt: float):
-        if dt <= 0:
-            return
-        E = np.exp(-alpha * dt)
-        int_H[...] += Gst * (1.0 - E) / alpha
-        Gst[...] *= E
-
-    for t, l in zip(times, nodes):
-        integrate_segment(t - t_prev)
-        H_lists[l].append(Gst[l].copy())
-        Gst[:, l] += 1.0
-        t_prev = t
-    integrate_segment(T - t_prev)
-
-    H_at_events = tuple(
-        np.array(H_lists[j]).reshape(len(H_lists[j]), d) for j in range(d)
-    )
-    return LogLikCache(horizon_T=T, H_at_events=H_at_events, int_H=int_H,
-                       counts=data.counts)
+    states, row_block = block_states(data, alpha)
+    return LogLikCache(
+        horizon_T=data.horizon_T,
+        H_at_events=left_limits_by_node(states, row_block),
+        int_H=np.stack([s.integral() for s in states])[row_block],
+        counts=data.counts)
 
 
 def neg_log_likelihood_cached(mu, A, cache: LogLikCache) -> LossValueGrad:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .features import PenaltyWeights, compute_stats, \
     constant_weights, practical_weights
-from .loss import build_loglik_cache, least_squares, neg_log_likelihood_cached, \
-    precompute_gram
+from .loss import LogLikCache, build_loglik_cache, least_squares, \
+    neg_log_likelihood_cached, precompute_gram
 from .penalty import PenaltySpec, pen_value, prox_l1_nonneg, prox_trace
 
 
@@ -55,7 +55,8 @@ class FitResult:
     converged: bool
     final_step: float
     solver: str
-    sufficient_decrease_ok: bool = True
+    #: no step taken from y = x raised the objective it minimises
+    sufficient_decrease_ok: bool
 
     def as_dict(self) -> dict:
         return {
@@ -80,6 +81,11 @@ def _sqnorm(dmu, dA) -> float:
     return float(np.sum(dmu * dmu) + np.sum(dA * dA))
 
 
+def _within_tol(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to the backtracking tolerance."""
+    return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
+
+
 def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, shrink):
     """Shrink step until the quadratic upper bound holds at the prox point."""
     while True:
@@ -87,7 +93,7 @@ def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, shrink):
         f_new = smooth(x_mu, x_A)[0]
         d_mu, d_A = x_mu - y_mu, x_A - y_A
         bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
-        if np.isfinite(f_new) and f_new <= bound + 1e-12 * max(1.0, abs(bound)):
+        if np.isfinite(f_new) and _within_tol(f_new, bound):
             return x_mu, x_A, f_new, step
         step *= shrink
         if step < 1e-16:
@@ -101,7 +107,9 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
 
     ``smooth(mu, A) -> (value, grad_mu, grad_A)``; ``prox(mu, A, step)``
     is the prox of the nonsmooth part; ``pen(mu, A)`` its value.  Returns
-    the best iterate by penalized objective.
+    the best iterate by penalized objective.  ``sufficient_decrease_ok``
+    says whether every step from y = x (the first, and after each momentum
+    restart) kept the objective from rising, as an exact prox does.
     """
     x_mu, x_A = mu0.copy(), A0.copy()
     y_mu, y_A = x_mu.copy(), x_A.copy()
@@ -114,6 +122,8 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
     converged = False
+    decrease_ok = True
+    from_x = True
     iters = 0
     for k in range(config.max_iter):
         f_y, g_mu, g_A = smooth(y_mu, y_A)
@@ -121,15 +131,19 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
             # momentum overshot the feasible region; restart from x
             y_mu, y_A = x_mu.copy(), x_A.copy()
             t_mom = 1.0
+            from_x = True
             f_y, g_mu, g_A = smooth(y_mu, y_A)
         xn_mu, xn_A, f_new, step = _backtrack(
             smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, config.shrink)
         obj = f_new + pen(xn_mu, xn_A)
         trace.append(obj)
+        if from_x:
+            decrease_ok &= _within_tol(obj, obj_prev)
         iters = k + 1
         if obj < best[2]:
             best = (xn_mu.copy(), xn_A.copy(), obj)
-        if obj > obj_prev:  # safeguard: restart momentum on objective increase
+        from_x = obj > obj_prev
+        if from_x:  # safeguard: restart momentum on objective increase
             t_new = 1.0
             y_mu, y_A = xn_mu.copy(), xn_A.copy()
         else:
@@ -147,7 +161,8 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
         step *= config.growth
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
                      iterations_used=iters, converged=converged,
-                     final_step=step, solver=solver_name)
+                     final_step=step, solver=solver_name,
+                     sufficient_decrease_ok=decrease_ok)
 
 
 def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
@@ -160,12 +175,12 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
     thresholding); the l1 + nonnegativity prox stays exact.  The best
     iterate by the true (unsmoothed) objective is returned, with a
     terminal projection of A onto the nonnegative orthant.
+    ``sufficient_decrease_ok`` says whether every step kept the
+    beta_k-smoothed objective plus l1 from rising, as an exact prox does.
     """
     tau = weights.tau
     beta0 = config.prisma_beta0
-
-    def true_pen(mu, A):
-        return pen_value(mu, A, pen_spec)
+    l1_spec = replace(pen_spec, use_trace=False)
 
     def prox_l1(v_mu, v_A, step):
         p_mu = prox_l1_nonneg(v_mu, weights.w, step) if pen_spec.use_l1_mu \
@@ -179,10 +194,11 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
     f0 = smooth_loss(x_mu, x_A)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
-    obj_prev = f0 + true_pen(x_mu, x_A)
+    obj_prev = f0 + pen_value(x_mu, x_A, pen_spec)
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
     converged = False
+    decrease_ok = True
     iters = 0
     for k in range(1, config.max_iter + 1):
         beta_k = beta0 / k
@@ -200,9 +216,11 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
             return val, gmu, gA
 
         f_x, g_mu, g_A = smooth_k(x_mu, x_A)
-        xn_mu, xn_A, _, step = _backtrack(
+        xn_mu, xn_A, f_new, step = _backtrack(
             smooth_k, prox_l1, x_mu, x_A, f_x, g_mu, g_A, step, config.shrink)
-        obj = smooth_loss(xn_mu, xn_A)[0] + true_pen(xn_mu, xn_A)
+        decrease_ok &= _within_tol(f_new + pen_value(xn_mu, xn_A, l1_spec),
+                                   f_x + pen_value(x_mu, x_A, l1_spec))
+        obj = smooth_loss(xn_mu, xn_A)[0] + pen_value(xn_mu, xn_A, pen_spec)
         trace.append(obj)
         iters = k
         if obj < best[2]:
@@ -216,7 +234,8 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
         step *= config.growth
     return FitResult(mu=best[0], A=np.maximum(best[1], 0.0),
                      objective_trace=trace, iterations_used=iters,
-                     converged=converged, final_step=step, solver="prisma")
+                     converged=converged, final_step=step, solver="prisma",
+                     sufficient_decrease_ok=decrease_ok)
 
 
 def _make_loss_oracle(data, alpha, loss_kind: str):
@@ -245,16 +264,10 @@ def _default_init(data, loss_kind: str):
     return mu0, np.zeros((d, d))
 
 
-def fit_hawkes(data, alpha, config: FitConfig) -> FitResult:
+def _solve(smooth: Callable, spec: PenaltySpec, mu0: np.ndarray,
+           A0: np.ndarray, config: FitConfig) -> FitResult:
     """Dispatch to FISTA or PRISMA depending on the active penalty terms."""
-    spec = config.penalty
     weights = spec.weights
-    smooth = _make_loss_oracle(data, alpha, config.loss_kind)
-    if config.init is not None:
-        mu0, A0 = np.array(config.init[0], dtype=float), np.array(config.init[1], dtype=float)
-    else:
-        mu0, A0 = _default_init(data, config.loss_kind)
-
     has_trace = spec.use_trace and weights.tau > 0
     if has_trace and spec.use_l1_A:
         return fit_prisma(smooth, weights, spec, mu0, A0, config)
@@ -262,27 +275,33 @@ def fit_hawkes(data, alpha, config: FitConfig) -> FitResult:
     def pen(mu, A):
         return pen_value(mu, A, spec)
 
-    if has_trace:
-        # trace norm alone on A: SVT iterate may leave the orthant;
-        # project at the end (domain constraint)
-        def prox(v_mu, v_A, step):
-            p_mu = prox_l1_nonneg(v_mu, weights.w, step) if spec.use_l1_mu \
-                else np.maximum(v_mu, 0.0)
-            return p_mu, prox_trace(v_A, step * weights.tau)
-
-        res = fit_fista(smooth, prox, pen, mu0, A0, config,
-                        solver_name="fista-trace")
-        res.A = np.maximum(res.A, 0.0)
-        return res
-
     def prox(v_mu, v_A, step):
         p_mu = prox_l1_nonneg(v_mu, weights.w, step) if spec.use_l1_mu \
             else np.maximum(v_mu, 0.0)
+        if has_trace:
+            return p_mu, prox_trace(v_A, step * weights.tau)
         p_A = prox_l1_nonneg(v_A, weights.W, step) if spec.use_l1_A \
             else np.maximum(v_A, 0.0)
         return p_mu, p_A
 
-    return fit_fista(smooth, prox, pen, mu0, A0, config)
+    if not has_trace:
+        return fit_fista(smooth, prox, pen, mu0, A0, config)
+    # trace norm alone on A: SVT iterate may leave the orthant;
+    # project at the end (domain constraint)
+    res = fit_fista(smooth, prox, pen, mu0, A0, config,
+                    solver_name="fista-trace")
+    res.A = np.maximum(res.A, 0.0)
+    return res
+
+
+def fit_hawkes(data, alpha, config: FitConfig) -> FitResult:
+    """Fit (mu, A) on one window with the configured loss and penalty."""
+    smooth = _make_loss_oracle(data, alpha, config.loss_kind)
+    if config.init is not None:
+        mu0, A0 = np.array(config.init[0], dtype=float), np.array(config.init[1], dtype=float)
+    else:
+        mu0, A0 = _default_init(data, config.loss_kind)
+    return _solve(smooth, config.penalty, mu0, A0, config)
 
 
 @dataclass(frozen=True)
@@ -292,13 +311,13 @@ class CVResult:
     fit: FitResult  # refit with the winning constants
 
 
-def heldout_loglik(mu, A, test_data, alpha, clip: float = 1e-12) -> float:
+def heldout_loglik(mu, A, cache: LogLikCache, clip: float = 1e-12) -> float:
     """Log-likelihood of (mu, A) on a held-out window (higher is better).
 
-    Intensities are clipped away from zero so hard-thresholded baselines do
-    not produce -inf for every candidate.
+    ``cache`` is the held-out window's ``build_loglik_cache``.  Intensities
+    are clipped away from zero so hard-thresholded baselines do not produce
+    -inf for every candidate.
     """
-    cache = build_loglik_cache(test_data, alpha)
     mu = np.asarray(mu, dtype=float)
     A = np.asarray(A, dtype=float)
     T = cache.horizon_T
@@ -319,10 +338,13 @@ def cross_validate(data, alpha, config: FitConfig,
 
     Fits on [0, T/2], scores by log-likelihood on the re-based second half
     (cold start: the test window's excitation ignores pre-split events),
-    then refits on the full window with the winning constants.
+    then refits on the full window with the winning constants.  Constant
+    weights read no statistics, so only practical weighting computes them.
     """
     if not c1_grid or not c2_grid or not tau_grid:
         raise ValueError("grids must be nonempty")
+    if weighting not in ("practical", "constant"):
+        raise ValueError(f"unknown weighting {weighting!r}")
     T = data.horizon_T
     if T < 2:
         raise ValueError("window too short to split")
@@ -331,48 +353,30 @@ def cross_validate(data, alpha, config: FitConfig,
     if train.total_events() == 0 or test.total_events() == 0:
         raise ValueError("empty train or test half")
 
-    train_stats = compute_stats(train, alpha)
+    practical = weighting == "practical"
+    train_stats = compute_stats(train, alpha) if practical else None
     smooth = _make_loss_oracle(train, alpha, config.loss_kind)
     mu0, A0 = _default_init(train, config.loss_kind)
-
-    def build_weights(stats, c1, c2, tau):
-        if weighting == "practical":
-            return practical_weights(stats, c1, c2, tau)
-        if weighting == "constant":
-            return constant_weights(stats.d, c1, c2, tau)
-        raise ValueError(f"unknown weighting {weighting!r}")
+    test_cache = build_loglik_cache(test, alpha)
 
     def fit_with(stats, smooth_fn, c1, c2, tau, init):
-        w = build_weights(stats, c1, c2, tau)
+        w = practical_weights(stats, c1, c2, tau) if stats is not None \
+            else constant_weights(data.d, c1, c2, tau)
         spec = replace(config.penalty, weights=w,
                        use_trace=config.penalty.use_trace and tau > 0)
-        sub = replace(config, penalty=spec, init=None)
-        if spec.use_trace and spec.use_l1_A:
-            return fit_prisma(smooth_fn, w, spec, *init, sub)
-
-        def pen(mu, A):
-            return pen_value(mu, A, spec)
-
-        if spec.use_trace:
-            def prox(v_mu, v_A, step):
-                return (prox_l1_nonneg(v_mu, w.w, step),
-                        prox_trace(v_A, step * w.tau))
-        else:
-            def prox(v_mu, v_A, step):
-                return (prox_l1_nonneg(v_mu, w.w, step),
-                        prox_l1_nonneg(v_A, w.W, step))
-        return fit_fista(smooth_fn, prox, pen, *init, sub)
+        return _solve(smooth_fn, spec, *init,
+                      replace(config, penalty=spec, init=None))
 
     scores = []
     best_combo, best_score = None, -np.inf
     for c1, c2, tau in itertools.product(c1_grid, c2_grid, tau_grid):
         res = fit_with(train_stats, smooth, c1, c2, tau, (mu0, A0))
-        score = heldout_loglik(res.mu, res.A, test, alpha)
+        score = heldout_loglik(res.mu, res.A, test_cache)
         scores.append((c1, c2, tau, score))
         if score > best_score:  # strict: first grid point wins ties
             best_combo, best_score = (c1, c2, tau), score
 
-    full_stats = compute_stats(data, alpha)
+    full_stats = compute_stats(data, alpha) if practical else None
     full_smooth = _make_loss_oracle(data, alpha, config.loss_kind)
     init_full = _default_init(data, config.loss_kind)
     final = fit_with(full_stats, full_smooth, *best_combo, init_full)

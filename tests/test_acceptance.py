@@ -102,7 +102,7 @@ class TestCriterion2Gram:
                             * H_jk(data, alpha, j, l, t),
                             0, T, points=pts, limit=400)
                         ref = val / T
-                        err = abs(g.G[j, k, l] - ref) / max(abs(ref), 1e-12)
+                        err = abs(g.block(j)[k, l] - ref) / max(abs(ref), 1e-12)
                         if ref != 0:
                             worst = max(worst, err)
         elapsed = time.time() - t0

@@ -82,6 +82,22 @@ class TestFitEval:
         diag = json.loads(out)
         assert diag["sufficient_decrease_ok"]
 
+    def test_constant_weights_compute_no_stats(self, sim_files, tmp_path,
+                                               capsys, monkeypatch):
+        import hawkesnet.cli as cli
+
+        def no_stats(*args):
+            raise AssertionError("constant weights read no statistics")
+
+        monkeypatch.setattr(cli, "compute_stats", no_stats)
+        events, _ = sim_files
+        for proc in ("L1", "L1Nuclear"):
+            code, out, err = run_cli(capsys, "fit", "--events", events,
+                                     "--procedure", proc,
+                                     "--out-dir", str(tmp_path / proc))
+            assert code == 0, err
+            assert json.loads(out)["sufficient_decrease_ok"]
+
     def test_weighted_fit_sparser_than_nopen(self, sim_files, tmp_path,
                                              capsys):
         events, _ = sim_files

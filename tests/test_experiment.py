@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hawkesnet import ExperimentConfig, aggregate, run_experiment
-from hawkesnet.experiment import COLUMNS, _fit_config
+from hawkesnet.experiment import COLUMNS, procedure_config
 from hawkesnet.simulate import ScenarioConfig
 
 
@@ -33,17 +33,15 @@ class TestConfigValidation:
 
 class TestFitConfigBuilder:
     def test_nopen_has_no_active_penalty(self):
-        cfg = tiny_config()
-        fc = _fit_config(cfg, "NoPen", 5)
+        fc = procedure_config("NoPen", 5)
         assert not fc.penalty.use_l1_mu
         assert not fc.penalty.use_l1_A
         assert not fc.penalty.use_trace
         assert np.all(fc.penalty.weights.w == 0)
 
     def test_nuclear_enables_trace(self):
-        cfg = tiny_config()
-        assert _fit_config(cfg, "wL1Nuclear", 5).penalty.use_trace
-        assert not _fit_config(cfg, "wL1", 5).penalty.use_trace
+        assert procedure_config("wL1Nuclear", 5).penalty.use_trace
+        assert not procedure_config("wL1", 5).penalty.use_trace
 
 
 class TestRunExperiment:

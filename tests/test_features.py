@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from hawkesnet import (EventData, FeatureStats, compute_stats,
-                       constant_weights, practical_weights,
-                       theoretical_weights)
+from hawkesnet import (EventData, FeatureStats, ModelParams,
+                       build_loglik_cache, compute_stats, constant_weights,
+                       intensity_at, neg_log_likelihood, practical_weights,
+                       precompute_gram, theoretical_weights)
 from tests.conftest import random_instance
 
 
@@ -105,6 +109,150 @@ class TestComputeStats:
         alpha = np.ones((2, 2))
         assert np.all(compute_stats(more, alpha).B[:, 0]
                       >= compute_stats(base, alpha).B[:, 0])
+
+
+@st.composite
+def uniform_streams(draw):
+    """Streams for a uniform decay, d <= 4, on a coarse time grid so that
+    events of different nodes often share a timestamp."""
+    d = draw(st.integers(1, 4))
+    T = draw(st.sampled_from([2.0, 5.0, 9.0]))
+    grid = np.round(np.arange(1, int(4 * T) + 1) * 0.25, 2)
+    events = tuple(
+        np.array(sorted(draw(st.sets(st.sampled_from(grid.tolist()),
+                                     max_size=6))))
+        for _ in range(d))
+    alpha = draw(st.sampled_from([0.3, 1.0, 2.5]))
+    return EventData(T, events), np.full((d, d), alpha)
+
+
+def H_quad(data, alpha, j, k, t):
+    ev = data.events[k]
+    return float(np.sum(np.exp(-alpha[j, k] * (t - ev[ev < t]))))
+
+
+class TestUniformDecaySweep:
+    """The path every workload uses: one excitation state for all rows."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(uniform_streams())
+    def test_matches_naive_sums_and_quadrature(self, stream):
+        data, alpha = stream
+        d, T = data.d, data.horizon_T
+        stats = compute_stats(data, alpha)
+        V, V1, V2, B, sup = naive_stats(data, alpha)
+        assert stats.Vhat == pytest.approx(V, rel=1e-10, abs=1e-12)
+        assert stats.Vhat1 == pytest.approx(V1, rel=1e-10, abs=1e-12)
+        assert stats.Vhat2 == pytest.approx(V2, rel=1e-10, abs=1e-12)
+        assert stats.B == pytest.approx(B, rel=1e-10, abs=1e-12)
+        assert stats.sup_H_2inf == pytest.approx(sup, rel=1e-10, abs=1e-12)
+        g = precompute_gram(data, alpha)
+        cache = build_loglik_cache(data, alpha)
+        assert len(g.G) == 1
+        pts = sorted(set(np.concatenate(data.events).tolist()))
+        for j in range(d):
+            left = np.array([naive_H(data, alpha, t)[j]
+                             for t in data.events[j]]).reshape(-1, d)
+            assert stats.H_at_events[j] == pytest.approx(left, rel=1e-10,
+                                                         abs=1e-12)
+            assert cache.H_at_events[j] == pytest.approx(left, rel=1e-10,
+                                                         abs=1e-12)
+            assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-10,
+                                           abs=1e-12)
+            for k in range(d):
+                val, _ = quad(lambda t: H_quad(data, alpha, j, k, t), 0, T,
+                              points=pts or None, limit=400)
+                assert g.psi[j, k] == pytest.approx(val / T, rel=1e-8,
+                                                    abs=1e-10)
+                assert cache.int_H[j, k] == pytest.approx(val, rel=1e-8,
+                                                          abs=1e-10)
+                for l in range(k, d):
+                    val2, _ = quad(
+                        lambda t: H_quad(data, alpha, j, k, t)
+                        * H_quad(data, alpha, j, l, t), 0, T,
+                        points=pts or None, limit=400)
+                    assert g.block(j)[k, l] == pytest.approx(
+                        val2 / T, rel=1e-8, abs=1e-10)
+
+    def test_one_block_matches_per_row_blocks(self):
+        # every row of the perturbed decay is distinct and varies along
+        # the row, so it takes the chunked per-row path
+        params, data = random_instance(21, d=4, horizon=30.0)
+        uni = np.full((4, 4), 0.9)
+        per_row = uni + 1e-15 * np.arange(16).reshape(4, 4)
+        ga, gb = precompute_gram(data, uni), precompute_gram(data, per_row)
+        assert len(ga.G) == 1 and len(gb.G) == 4
+        assert ga.psi == pytest.approx(gb.psi, rel=1e-9)
+        assert ga.S == pytest.approx(gb.S, rel=1e-12)
+        for j in range(4):
+            assert ga.block(j) == pytest.approx(gb.block(j), rel=1e-9)
+        sa, sb = compute_stats(data, uni), compute_stats(data, per_row)
+        for name in ("B", "Vhat", "Vhat1", "Vhat2"):
+            assert getattr(sa, name) == pytest.approx(getattr(sb, name),
+                                                      rel=1e-9)
+        ca, cb = build_loglik_cache(data, uni), build_loglik_cache(data,
+                                                                   per_row)
+        assert ca.int_H == pytest.approx(cb.int_H, rel=1e-9)
+        for ha, hb in zip(ca.H_at_events, cb.H_at_events):
+            assert ha == pytest.approx(hb, rel=1e-9)
+
+
+class TestSimultaneousEvents:
+    """Events at exactly t, of any node, are excluded from the left limit."""
+
+    def test_two_nodes_one_timestamp(self):
+        data = EventData(3.0, (np.array([1.0]), np.array([1.0])))
+        stats = compute_stats(data, np.ones((2, 2)))
+        assert np.all(stats.H_at_events[0] == 0)
+        assert np.all(stats.H_at_events[1] == 0)
+        # the sup just after t = 1 counts both events
+        assert stats.sup_H_2inf == pytest.approx(math.sqrt(2), rel=1e-12)
+
+    def test_result_independent_of_node_order(self):
+        data = EventData(4.0, (np.array([1.0, 2.0]), np.array([1.0, 3.0]),
+                               np.array([2.0, 3.0])))
+        perm = [2, 0, 1]
+        swapped = EventData(4.0, tuple(data.events[p] for p in perm))
+        alpha = np.ones((3, 3))
+        a, b = compute_stats(data, alpha), compute_stats(swapped, alpha)
+        P = np.ix_(perm, perm)
+        assert b.B == pytest.approx(a.B[P], rel=1e-12)
+        assert b.Vhat == pytest.approx(a.Vhat[P], rel=1e-12)
+        assert b.Vhat2 == pytest.approx(a.Vhat2[P], rel=1e-12)
+        ga, gb = precompute_gram(data, alpha), precompute_gram(swapped, alpha)
+        assert gb.S == pytest.approx(ga.S[P], rel=1e-12)
+        assert gb.block(0) == pytest.approx(ga.block(0)[P], rel=1e-12)
+
+    def test_matches_intensity_at_with_cross_node_ties(self):
+        rng = np.random.default_rng(5)
+        d, T = 3, 6.0
+        grid = np.arange(1, 24) * 0.25  # shared grid: many cross-node ties
+        events = tuple(np.sort(rng.choice(grid, size=8, replace=False))
+                       for _ in range(d))
+        data = EventData(T, events)
+        params = ModelParams(mu=rng.uniform(0.2, 0.5, d),
+                             A=rng.uniform(0.0, 0.3, (d, d)),
+                             alpha=rng.uniform(0.5, 2.0, (d, d)))
+        stats = compute_stats(data, params.alpha)
+        g = precompute_gram(data, params.alpha)
+        logs = 0.0
+        for j in range(d):
+            left = np.array([naive_H(data, params.alpha, t)[j]
+                             for t in data.events[j]])
+            assert stats.H_at_events[j] == pytest.approx(left, rel=1e-12,
+                                                         abs=1e-14)
+            assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-12)
+            lam = np.array([intensity_at(params, data, j, t)
+                            for t in data.events[j]])
+            assert params.mu[j] + left @ params.A[j] == pytest.approx(
+                lam, rel=1e-12)
+            logs += np.log(lam).sum()
+        comp = params.mu.sum() * T + sum(
+            params.A[j, k] * np.sum(-np.expm1(-params.alpha[j, k]
+                                              * (T - data.events[k])))
+            / params.alpha[j, k] for j in range(d) for k in range(d))
+        nll = neg_log_likelihood(params, data)
+        assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
 
 
 class TestTheoreticalWeights:

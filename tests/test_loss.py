@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hawkesnet import (EventData, ModelParams, build_loglik_cache,
-                       least_squares, neg_log_likelihood,
-                       neg_log_likelihood_cached, precompute_gram)
+from hawkesnet import (EventData, ModelParams, SimConfig, build_loglik_cache,
+                       default_bound_params, least_squares,
+                       neg_log_likelihood, neg_log_likelihood_cached,
+                       precompute_gram, simulate)
+from hawkesnet import features
+from hawkesnet.features import excitation_states
 from tests.conftest import random_instance
 
 
@@ -40,8 +44,9 @@ class TestPrecomputeGram:
         data = EventData(3.0, (np.array([1.0]),))
         g = precompute_gram(data, np.ones((1, 1)))
         assert g.psi[0, 0] == pytest.approx((1 - math.exp(-2)) / 3, rel=1e-12)
-        assert g.G[0, 0, 0] == pytest.approx((1 - math.exp(-4)) / 6, rel=1e-12)
-        assert g.G[0, 0, 0] == pytest.approx(0.16361, abs=5e-6)
+        assert g.block(0)[0, 0] == pytest.approx((1 - math.exp(-4)) / 6,
+                                             rel=1e-12)
+        assert g.block(0)[0, 0] == pytest.approx(0.16361, abs=5e-6)
         assert g.S[0, 0] == 0.0
         assert g.counts[0] == 1
 
@@ -64,8 +69,8 @@ class TestPrecomputeGram:
                         lambda t: H_jk(data, alpha, j, k, t)
                         * H_jk(data, alpha, j, l, t), 0, T,
                         points=pts, limit=400)
-                    assert g.G[j, k, l] == pytest.approx(val2 / T, rel=1e-8,
-                                                         abs=1e-10)
+                    assert g.block(j)[k, l] == pytest.approx(
+                        val2 / T, rel=1e-8, abs=1e-10)
 
     def test_S_matches_left_limit_sums(self):
         params, data = random_instance(3, d=2, horizon=15.0)
@@ -82,7 +87,7 @@ class TestPrecomputeGram:
         params, data = random_instance(5, d=3, horizon=20.0)
         g = precompute_gram(data, params.alpha)
         for j in range(3):
-            Gj = g.G[j]
+            Gj = g.block(j)
             assert np.allclose(Gj, Gj.T, atol=1e-12)
             assert np.linalg.eigvalsh(Gj).min() > -1e-10
 
@@ -96,8 +101,36 @@ class TestPrecomputeGram:
         ga = precompute_gram(data, uni)
         gb = precompute_gram(data, uni + eps)
         assert ga.psi == pytest.approx(gb.psi, rel=1e-9)
-        assert ga.G == pytest.approx(gb.G, rel=1e-9)
+        assert len(ga.G) == 1 and len(gb.G) == 2
+        for j in range(2):
+            assert ga.block(j) == pytest.approx(gb.block(j), rel=1e-9)
         assert ga.S == pytest.approx(gb.S, rel=1e-12)
+
+    def test_chunked_sum_matches_single_chunk(self, monkeypatch):
+        _, data = random_instance(9, d=3, horizon=40.0)
+        states = excitation_states(data, [0.7, 1.1, 1.9])
+        monkeypatch.setattr(features, "GRAM_CHUNK", 10 ** 9)
+        whole = states.gram()
+        for chunk in (9 * 5, 1):  # five events per chunk, then one
+            monkeypatch.setattr(features, "GRAM_CHUNK", chunk)
+            assert states.gram() == pytest.approx(whole, rel=1e-12)
+
+    def test_uniform_decay_at_d200_holds_no_cube(self):
+        d = 200
+        params = default_bound_params(d)
+        data = simulate(SimConfig(params=params, horizon_T=1.5, seed=3))
+        assert data.total_events() > 100
+        tracemalloc.start()
+        try:
+            g = precompute_gram(data, params.alpha)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.G.shape == (1, d, d)
+        for arr in (g.psi, g.G, g.S, g.counts, g.row_block):
+            assert arr.size < d ** 3
+        # a d^3 array of doubles alone would take 64 MB
+        assert peak < 8 * d ** 3 / 8
 
 
 class TestLeastSquares:

@@ -4,6 +4,7 @@ import pytest
 from hawkesnet import (CVResult, FitConfig, ModelParams, PenaltySpec,
                        SimConfig, cross_validate, fit_hawkes, pen_value,
                        prox_l1_nonneg, prox_trace, simulate)
+from hawkesnet import solver
 from hawkesnet.features import constant_weights
 from hawkesnet.solver import (LineSearchError, _make_loss_oracle, fit_fista,
                               fit_prisma)
@@ -80,6 +81,25 @@ class TestFitFista:
         assert res.sufficient_decrease_ok
         assert res.iterations_used >= 1
 
+    def test_wrong_prox_fails_sufficient_decrease(self):
+        # the prox of the nonnegativity constraint alone ignores the l1
+        # penalty, so the first step from x0 = 0 raises the objective
+        params, data = random_instance(3, d=2, horizon=60.0)
+        w = constant_weights(2, 10.0, 10.0)
+        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+
+        def wrong_prox(vm, vA, step):
+            return np.maximum(vm, 0.0), np.maximum(vA, 0.0)
+
+        def pen(mu, A):
+            return pen_value(mu, A, PenaltySpec(weights=w))
+
+        cfg = FitConfig(penalty=PenaltySpec(weights=w), max_iter=5)
+        res = fit_fista(smooth, wrong_prox, pen, np.zeros(2),
+                        np.zeros((2, 2)), cfg)
+        assert not res.sufficient_decrease_ok
+        assert res.as_dict()["sufficient_decrease_ok"] is False
+
     def test_consistency_long_run(self):
         # d=2, T=5000 unpenalized: median relative error over 5 seeds < 15%
         errors = []
@@ -142,6 +162,22 @@ class TestFitPrisma:
                          FitConfig(penalty=spec, max_iter=100))
         assert res.solver == "prisma"
         assert np.all(res.A >= 0) and np.all(res.mu >= 0)
+
+    def test_sufficient_decrease_computed(self, monkeypatch):
+        params, data = random_instance(8, d=3, horizon=60.0)
+        w = constant_weights(3, 0.01, 0.01, tau=0.05)
+        cfg = FitConfig(penalty=PenaltySpec(weights=w, use_trace=True),
+                        max_iter=50)
+        assert fit_hawkes(data, params.alpha, cfg).sufficient_decrease_ok
+        # an l1 prox that ignores its weights lets the l1 term grow
+        monkeypatch.setattr(solver, "prox_l1_nonneg",
+                            lambda v, weights, step: np.maximum(v, 0.0))
+        big = FitConfig(penalty=PenaltySpec(
+            weights=constant_weights(3, 10.0, 10.0, tau=0.05),
+            use_trace=True), max_iter=5)
+        res = fit_hawkes(data, params.alpha, big)
+        assert res.solver == "prisma"
+        assert not res.sufficient_decrease_ok
 
     def test_trace_only_uses_fista_trace(self):
         params, data = random_instance(9, d=2, horizon=60.0)
@@ -215,6 +251,37 @@ class TestCrossValidate:
                             (0.01, 0.03), weighting="constant")
         assert cv.best[0] in (0.01, 0.03)
         assert len(cv.scores) == 4
+
+    def test_one_heldout_cache_and_no_stats_for_constant(self,
+                                                         monkeypatch):
+        params, data = random_instance(14, d=2, horizon=60.0)
+        calls = {"cache": 0, "stats": 0}
+        build = solver.build_loglik_cache
+
+        def counted_cache(*args):
+            calls["cache"] += 1
+            return build(*args)
+
+        def no_stats(*args):
+            calls["stats"] += 1
+            raise AssertionError("constant weights read no statistics")
+
+        monkeypatch.setattr(solver, "build_loglik_cache", counted_cache)
+        monkeypatch.setattr(solver, "compute_stats", no_stats)
+        cfg = FitConfig(penalty=PenaltySpec(
+            weights=constant_weights(2, 0.01, 0.01)), max_iter=20)
+        cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
+                            (0.01, 0.03), weighting="constant")
+        assert len(cv.scores) == 4
+        assert calls == {"cache": 1, "stats": 0}
+
+    def test_unknown_weighting_rejected(self):
+        params, data = random_instance(14, d=2, horizon=60.0)
+        cfg = FitConfig(penalty=PenaltySpec(
+            weights=constant_weights(2, 0.01, 0.01)))
+        with pytest.raises(ValueError):
+            cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
+                           weighting="theoretical")
 
     def test_tau_grid_with_trace(self):
         params, data = random_instance(15, d=2, horizon=80.0)
