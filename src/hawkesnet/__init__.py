@@ -11,8 +11,7 @@ from .features import (FeatureStats, PenaltyWeights, compute_stats,
 from .loss import (LogLikCache, LossValueGrad, PrecomputedGram,
                    build_loglik_cache, least_squares, neg_log_likelihood,
                    neg_log_likelihood_cached, precompute_gram)
-from .penalty import (PenaltySpec, pen_value, prox_l1_nonneg, prox_trace,
-                      trace_norm)
+from .penalty import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 from .solver import (CVResult, FitConfig, FitResult, cross_validate,
                      fit_fista, fit_hawkes, fit_prisma)
 from .metrics import EvalReport, auc_score, evaluate, relative_error

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureStats, compute_stats, iterated_log_A, \
-    iterated_log_opnorm, opnorm_V1, opnorm_V2
+from .features import TAU_LIN_A, TAU_LIN_B, W_A_LIN, FeatureStats, \
+    compute_stats, iterated_log_A, iterated_log_opnorm, opnorm_V1, opnorm_V2
 from .loss import precompute_gram
 from .model import EventData, ModelParams
 from .simulate import simulate_replication
@@ -86,7 +86,8 @@ def pointwise_bound_rhs(stats: FeatureStats, x: float) -> np.ndarray:
     T, d = stats.horizon_T, stats.d
     L = iterated_log_A(stats.Vhat, stats.B, x, T)
     lev = x + 2 * math.log(d) + L
-    return 2 * math.sqrt(2) * np.sqrt(lev * stats.Vhat / T) + 9.31 * lev * stats.B / T
+    return 2 * math.sqrt(2) * np.sqrt(lev * stats.Vhat / T) \
+        + W_A_LIN / 2 * lev * stats.B / T
 
 
 def opnorm_bound_rhs(stats: FeatureStats, x: float) -> float:
@@ -95,7 +96,7 @@ def opnorm_bound_rhs(stats: FeatureStats, x: float) -> float:
     lev = x + math.log(d) + iterated_log_opnorm(stats, x)
     vmax = max(opnorm_V1(stats), opnorm_V2(stats))
     return 4 * math.sqrt(lev * vmax / T) + lev * (
-        10.34 + 2.65 * stats.sup_H_2inf) / T
+        TAU_LIN_A + TAU_LIN_B * stats.sup_H_2inf) / T
 
 
 def wilson_interval(k: int, n: int, conf: float = 0.99) -> tuple:

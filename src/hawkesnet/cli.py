@@ -11,21 +11,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from . import io
 from .bounds import check_opnorm_bound, check_pointwise_bound, \
     default_bound_params
-from .experiment import PROCEDURES, ExperimentConfig, aggregate, \
-    procedure_config, run_experiment, write_aggregate_csv, write_rows_csv
+from .experiment import PENALTIES, PROCEDURES, ExperimentConfig, \
+    aggregate, run_experiment, write_aggregate_csv, write_rows_csv
 from .features import compute_stats, constant_weights, practical_weights, \
     theoretical_weights
 from .metrics import evaluate
 from .model import ModelParams
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
-from .solver import cross_validate, fit_hawkes
+from .solver import FitConfig, cross_validate, fit_hawkes
 
 
 def _load_config_file(args) -> dict:
@@ -103,19 +103,23 @@ def cmd_fit(args) -> int:
     alpha = io.read_matrix_csv(args.alpha_file) if args.alpha_file \
         else np.full((d, d), args.alpha)
     out_dir = io.ensure_dir(args.out_dir)
-    cfg = procedure_config(args.procedure, d, args.loss, args.max_iter)
-    if args.procedure != "NoPen":
+    if args.procedure == "NoPen":
+        weights = constant_weights(d, 0.0, 0.0)
+    else:
+        weighting, use_trace = PENALTIES[args.procedure]
+        tau = args.tau if use_trace else 0.0
         # constant weights read no statistics
-        if args.procedure.startswith("w"):
+        if weighting == "practical":
             weights = practical_weights(compute_stats(data, alpha), args.c1,
-                                        args.c2, args.tau)
+                                        args.c2, tau)
         else:
-            weights = constant_weights(d, args.c1, args.c2, args.tau)
-        cfg = replace(cfg, penalty=replace(cfg.penalty, weights=weights))
+            weights = constant_weights(d, args.c1, args.c2, tau)
         io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
         io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
         io.write_json({"tau": weights.tau, "mode": weights.mode},
                       os.path.join(out_dir, "weights_meta.json"))
+    cfg = FitConfig(penalty=weights, loss_kind=args.loss,
+                    max_iter=args.max_iter)
     result = fit_hawkes(data, alpha, cfg)
     io.write_vector(result.mu, os.path.join(out_dir, "mu_hat.csv"))
     io.write_matrix_csv(result.A, os.path.join(out_dir, "A_hat.csv"))
@@ -141,10 +145,11 @@ def cmd_xval(args) -> int:
     data = io.read_events(args.events)
     d = data.d
     alpha = np.full((d, d), args.alpha)
-    cfg = procedure_config(args.procedure, d, args.loss, args.max_iter)
-    weighting = "practical" if args.procedure.startswith("w") else "constant"
-    tau_grid = tuple(args.tau_grid) if args.procedure.endswith("Nuclear") \
-        else (0.0,)
+    # cross_validate sets the weights of each grid point
+    cfg = FitConfig(penalty=constant_weights(d, 0.0, 0.0), loss_kind=args.loss,
+                    max_iter=args.max_iter)
+    weighting, use_trace = PENALTIES[args.procedure]
+    tau_grid = tuple(args.tau_grid) if use_trace else (0.0,)
     cv = cross_validate(data, alpha, cfg, tuple(args.c1_grid),
                         tuple(args.c2_grid), tau_grid, weighting=weighting)
     out = {"best": {"c1": cv.best[0], "c2": cv.best[1], "tau": cv.best[2]},
@@ -245,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--alpha-file", help="CSV matrix of per-pair decays")
     fit.add_argument("--c1", type=float, default=1.0)
     fit.add_argument("--c2", type=float, default=1.0)
-    fit.add_argument("--tau", type=float, default=0.01)
+    fit.add_argument("--tau", type=float, default=0.01,
+                     help="trace-norm coefficient of the Nuclear procedures")
     fit.add_argument("--max-iter", type=int, default=100)
     fit.add_argument("--out-dir", required=True)
     fit.set_defaults(func=cmd_fit)

@@ -15,16 +15,16 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .features import PenaltyWeights, constant_weights
+from .features import constant_weights
 from .metrics import evaluate
-from .penalty import PenaltySpec
 from .simulate import ScenarioConfig, generate_scenario, simulate_replication
 from .solver import FitConfig, cross_validate, fit_hawkes
 
 PROCEDURES = ("NoPen", "L1", "wL1", "L1Nuclear", "wL1Nuclear")
 
-#: (weighting, uses trace norm) per procedure; NoPen is special-cased
-_PROC_SPEC = {
+#: (weighting, uses trace norm) per penalised procedure; NoPen fits with
+#: zero weights
+PENALTIES = {
     "L1": ("constant", False),
     "wL1": ("practical", False),
     "L1Nuclear": ("constant", True),
@@ -66,37 +66,22 @@ COLUMNS = ("procedure", "T", "rep", "error", "auc",
            "c1", "c2", "tau", "iterations", "converged")
 
 
-def procedure_config(procedure: str, d: int,
-                     loss_kind: str = "least-squares",
-                     max_iter: int = 100) -> FitConfig:
-    """Fit configuration of a procedure; weights are filled in by the caller."""
-    if procedure == "NoPen":
-        weights = PenaltyWeights(w=np.zeros(d), W=np.zeros((d, d)), tau=0.0,
-                                 x=0.0, mode="constant")
-        spec = PenaltySpec(weights=weights, use_l1_mu=False, use_l1_A=False,
-                           use_trace=False)
-    else:
-        _, use_trace = _PROC_SPEC[procedure]
-        spec = PenaltySpec(weights=constant_weights(d, 1.0, 1.0),
-                           use_l1_mu=True, use_l1_A=True, use_trace=use_trace)
-    return FitConfig(penalty=spec, loss_kind=loss_kind, max_iter=max_iter)
-
-
 def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
     """All rows for one replication (simulate once, truncate per horizon)."""
     data_full = simulate_replication(params, max(cfg.horizons), cfg.seed, rep)
     alpha = params.alpha
+    # the weights are NoPen's; cross_validate replaces them per grid point
+    fit_cfg = FitConfig(penalty=constant_weights(params.d, 0.0, 0.0),
+                        loss_kind=cfg.loss_kind, max_iter=cfg.max_iter)
     rows = []
     for T in cfg.horizons:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
-            fit_cfg = procedure_config(procedure, params.d, cfg.loss_kind,
-                                       cfg.max_iter)
             if procedure == "NoPen":
                 result = fit_hawkes(data, alpha, fit_cfg)
                 c1 = c2 = tau = 0.0
             else:
-                weighting, use_trace = _PROC_SPEC[procedure]
+                weighting, use_trace = PENALTIES[procedure]
                 if weighting == "practical":
                     c1_grid = cfg.c1_grid_weighted_nuclear if use_trace \
                         else cfg.c1_grid_weighted

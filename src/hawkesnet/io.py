@@ -1,8 +1,9 @@
 """File formats for events, matrices, vectors and reports.
 
 Events: JSON {"d": int, "T": float, "events": [[t, ...], ...]} with
-ascending per-node timestamps (lossless, 17 significant digits), or CSV
-with ``node,time`` rows on input.  Matrices: headerless row-major CSV.
+ascending per-node timestamps (lossless, 17 significant digits).  Events
+carry their horizon and dimension, so no other event format is read.
+Matrices: headerless row-major CSV.
 Vectors: one value per line.
 """
 
@@ -32,33 +33,15 @@ def write_events_json(data: EventData, path: str) -> None:
 
 def read_events(path: str) -> EventData:
     if path.endswith(".csv"):
-        return _read_events_csv(path)
+        raise ValueError(
+            f"{path}: events must be JSON {{\"d\", \"T\", \"events\"}}; a "
+            "node,time CSV carries neither the horizon T nor the dimension d")
     with open(path) as f:
         payload = json.load(f)
     events = tuple(np.array(ev, dtype=float) for ev in payload["events"])
     if len(events) != payload["d"]:
         raise ValueError("event file is inconsistent: d != number of lists")
     return EventData(float(payload["T"]), events)
-
-
-def _read_events_csv(path: str) -> EventData:
-    nodes, times = [], []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("node"):
-                continue
-            a, b = line.split(",")
-            nodes.append(int(a))
-            times.append(float(b))
-    if not nodes:
-        raise ValueError(f"no events found in {path}")
-    d = max(nodes) + 1
-    horizon = max(times)
-    evs = [[] for _ in range(d)]
-    for n, t in zip(nodes, times):
-        evs[n].append(t)
-    return EventData(horizon, tuple(np.sort(np.array(e)) for e in evs))
 
 
 def write_matrix_csv(M, path: str) -> None:

@@ -132,12 +132,15 @@ def build_loglik_cache(data, alpha) -> LogLikCache:
         counts=data.counts)
 
 
-def neg_log_likelihood_cached(mu, A, cache: LogLikCache) -> LossValueGrad:
+def neg_log_likelihood_cached(mu, A, cache: LogLikCache,
+                              clip: float = 0.0) -> LossValueGrad:
     """Negative log-likelihood (normalized by 1/T) and gradient.
 
     Intensities are taken at event left-limits (predictable convention).
     Returns value = +inf with feasible=False when some event has zero
-    intensity, so line searches can backtrack instead of crashing.
+    intensity, so line searches can backtrack instead of crashing.  A
+    positive ``clip`` floors every event intensity instead, for scoring
+    held-out windows; the gradient then ignores the floor.
     """
     mu = np.asarray(mu, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -150,7 +153,9 @@ def neg_log_likelihood_cached(mu, A, cache: LogLikCache) -> LossValueGrad:
     for j in range(d):
         H = cache.H_at_events[j]
         lam = mu[j] + H @ A[j] if H.size else np.empty(0)
-        if np.any(lam <= 0):
+        if clip > 0:
+            lam = np.maximum(lam, clip)
+        elif np.any(lam <= 0):
             return LossValueGrad(value=np.inf, grad_mu=grad_mu, grad_A=grad_A,
                                  feasible=False)
         compensator = mu[j] * T + float(A[j] @ cache.int_H[j])

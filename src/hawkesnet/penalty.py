@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .features import PenaltyWeights
@@ -12,29 +10,18 @@ from .features import PenaltyWeights
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    weights: PenaltyWeights
-    use_l1_mu: bool = True
-    use_l1_A: bool = True
-    use_trace: bool = False
-
-
 def trace_norm(A) -> float:
     return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False).sum())
 
 
-def pen_value(mu, A, spec: PenaltySpec) -> float:
-    """Total penalty over the enabled terms (entries assumed nonnegative)."""
+def pen_value(mu, A, weights: PenaltyWeights) -> float:
+    """w . |mu| + W . |A| + tau * ||A||_*; zero weights add exactly 0."""
     mu = np.asarray(mu, dtype=float)
     A = np.asarray(A, dtype=float)
-    total = 0.0
-    if spec.use_l1_mu:
-        total += float(np.sum(spec.weights.w * np.abs(mu)))
-    if spec.use_l1_A:
-        total += float(np.sum(spec.weights.W * np.abs(A)))
-    if spec.use_trace and spec.weights.tau > 0:
-        total += spec.weights.tau * trace_norm(A)
+    total = float(np.sum(weights.w * np.abs(mu))) \
+        + float(np.sum(weights.W * np.abs(A)))
+    if weights.tau > 0:
+        total += weights.tau * trace_norm(A)
     return total
 
 
@@ -52,8 +39,9 @@ def prox_l1_nonneg(v, weights, step: float):
 def prox_trace(V, tau_step: float):
     """Singular value soft-thresholding: prox of tau_step * trace norm.
 
-    Output entries may be negative; the joint prox with the nonnegativity
-    constraint has no closed form and is handled by solver-level splitting.
+    Output entries may be negative.  The solvers never take this prox as a
+    step: PRISMA uses it for the gradient of the smoothed trace norm and
+    keeps A nonnegative through the weighted-l1 prox.
     """
     V = np.asarray(V, dtype=float)
     if not np.all(np.isfinite(V)):

@@ -1,10 +1,11 @@
 """Penalized empirical-risk solvers.
 
-FISTA (accelerated proximal gradient with backtracking and momentum
-restart) covers objectives with a single nonsmooth term on A; a
-PRISMA-style splitting handles l1 + trace-norm together by smoothing the
-trace norm with a decreasing parameter while taking exact prox steps on
-the l1 + nonnegativity term.
+The penalty is its weights: w . |mu| + W . |A| + tau * ||A||_* over
+mu, A >= 0 (``PenaltyWeights``).  Without a trace norm (tau = 0) FISTA,
+accelerated proximal gradient with backtracking and momentum restart,
+takes exact weighted-l1 + nonnegativity prox steps.  With tau > 0 a
+PRISMA-style splitting smooths the trace norm with a decreasing parameter
+and takes the same exact prox steps on the l1 + nonnegativity term.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -20,28 +21,26 @@ from .features import PenaltyWeights, compute_stats, \
     constant_weights, practical_weights
 from .loss import LogLikCache, build_loglik_cache, least_squares, \
     neg_log_likelihood_cached, precompute_gram
-from .penalty import PenaltySpec, pen_value, prox_l1_nonneg, prox_trace
+from .penalty import pen_value, prox_l1_nonneg, prox_trace
+
+#: first step, backtracking factor and per-iteration step growth
+STEP0, SHRINK, GROWTH = 1.0, 0.5, 2.0
+#: PRISMA smooths the trace norm with beta_k = PRISMA_BETA0 / k
+PRISMA_BETA0 = 1.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    penalty: PenaltySpec
+    penalty: PenaltyWeights
     loss_kind: str = "least-squares"  # or "log-likelihood"
     max_iter: int = 100
     tol: float = 1e-7
-    step0: float = 1.0
-    shrink: float = 0.5
-    growth: float = 2.0
-    init: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    prisma_beta0: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must be in (0, 1)")
         if self.loss_kind not in ("least-squares", "log-likelihood"):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
 
@@ -54,7 +53,7 @@ class FitResult:
     iterations_used: int
     converged: bool
     final_step: float
-    solver: str
+    solver: str  # "fista" | "prisma"
     #: no step taken from y = x raised the objective it minimises
     sufficient_decrease_ok: bool
 
@@ -86,7 +85,7 @@ def _within_tol(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, shrink):
+def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step):
     """Shrink step until the quadratic upper bound holds at the prox point."""
     while True:
         x_mu, x_A = prox(y_mu - step * g_mu, y_A - step * g_A, step)
@@ -95,14 +94,21 @@ def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, shrink):
         bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
         if np.isfinite(f_new) and _within_tol(f_new, bound):
             return x_mu, x_A, f_new, step
-        step *= shrink
+        step *= SHRINK
         if step < 1e-16:
             raise LineSearchError("line search failed (step underflow)")
 
 
+def _prox_l1(weights: PenaltyWeights) -> Callable:
+    """Weighted-l1 + nonnegativity prox on (mu, A); zero weights project."""
+    def prox(v_mu, v_A, step):
+        return (prox_l1_nonneg(v_mu, weights.w, step),
+                prox_l1_nonneg(v_A, weights.W, step))
+    return prox
+
+
 def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
-              mu0: np.ndarray, A0: np.ndarray, config: FitConfig,
-              solver_name: str = "fista") -> FitResult:
+              mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Accelerated proximal gradient with backtracking and momentum restart.
 
     ``smooth(mu, A) -> (value, grad_mu, grad_A)``; ``prox(mu, A, step)``
@@ -114,7 +120,7 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
     x_mu, x_A = mu0.copy(), A0.copy()
     y_mu, y_A = x_mu.copy(), x_A.copy()
     t_mom = 1.0
-    step = config.step0
+    step = STEP0
     f0 = smooth(x_mu, x_A)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
@@ -134,7 +140,7 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
             from_x = True
             f_y, g_mu, g_A = smooth(y_mu, y_A)
         xn_mu, xn_A, f_new, step = _backtrack(
-            smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step, config.shrink)
+            smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step)
         obj = f_new + pen(xn_mu, xn_A)
         trace.append(obj)
         if from_x:
@@ -158,50 +164,42 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
         x_mu, x_A = xn_mu, xn_A
         t_mom = t_new
         obj_prev = obj
-        step *= config.growth
+        step *= GROWTH
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
                      iterations_used=iters, converged=converged,
-                     final_step=step, solver=solver_name,
+                     final_step=step, solver="fista",
                      sufficient_decrease_ok=decrease_ok)
 
 
 def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
-               pen_spec: PenaltySpec, mu0: np.ndarray, A0: np.ndarray,
-               config: FitConfig) -> FitResult:
+               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Three-term splitting for l1 + nonneg + trace-norm objectives.
 
     The trace norm is replaced by its Moreau envelope with smoothing
-    beta_k = beta0 / k (gradient computable via singular value
+    beta_k = PRISMA_BETA0 / k (gradient computable via singular value
     thresholding); the l1 + nonnegativity prox stays exact.  The best
-    iterate by the true (unsmoothed) objective is returned, with a
-    terminal projection of A onto the nonnegative orthant.
+    iterate by the true (unsmoothed) objective is returned; it is a prox
+    point or the start, so it is nonnegative when the start is.
     ``sufficient_decrease_ok`` says whether every step kept the
     beta_k-smoothed objective plus l1 from rising, as an exact prox does.
     """
     tau = weights.tau
-    beta0 = config.prisma_beta0
-    l1_spec = replace(pen_spec, use_trace=False)
-
-    def prox_l1(v_mu, v_A, step):
-        p_mu = prox_l1_nonneg(v_mu, weights.w, step) if pen_spec.use_l1_mu \
-            else np.maximum(v_mu, 0.0)
-        p_A = prox_l1_nonneg(v_A, weights.W, step) if pen_spec.use_l1_A \
-            else np.maximum(v_A, 0.0)
-        return p_mu, p_A
+    l1 = replace(weights, tau=0.0)
+    prox = _prox_l1(weights)
 
     x_mu, x_A = mu0.copy(), A0.copy()
-    step = config.step0
+    step = STEP0
     f0 = smooth_loss(x_mu, x_A)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
-    obj_prev = f0 + pen_value(x_mu, x_A, pen_spec)
+    obj_prev = f0 + pen_value(x_mu, x_A, weights)
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
     converged = False
     decrease_ok = True
     iters = 0
     for k in range(1, config.max_iter + 1):
-        beta_k = beta0 / k
+        beta_k = PRISMA_BETA0 / k
 
         def smooth_k(mu, A, _b=beta_k):
             val, gmu, gA = smooth_loss(mu, A)
@@ -217,10 +215,10 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
 
         f_x, g_mu, g_A = smooth_k(x_mu, x_A)
         xn_mu, xn_A, f_new, step = _backtrack(
-            smooth_k, prox_l1, x_mu, x_A, f_x, g_mu, g_A, step, config.shrink)
-        decrease_ok &= _within_tol(f_new + pen_value(xn_mu, xn_A, l1_spec),
-                                   f_x + pen_value(x_mu, x_A, l1_spec))
-        obj = smooth_loss(xn_mu, xn_A)[0] + pen_value(xn_mu, xn_A, pen_spec)
+            smooth_k, prox, x_mu, x_A, f_x, g_mu, g_A, step)
+        decrease_ok &= _within_tol(f_new + pen_value(xn_mu, xn_A, l1),
+                                   f_x + pen_value(x_mu, x_A, l1))
+        obj = smooth_loss(xn_mu, xn_A)[0] + pen_value(xn_mu, xn_A, weights)
         trace.append(obj)
         iters = k
         if obj < best[2]:
@@ -231,10 +229,10 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
             break
         x_mu, x_A = xn_mu, xn_A
         obj_prev = obj
-        step *= config.growth
-    return FitResult(mu=best[0], A=np.maximum(best[1], 0.0),
-                     objective_trace=trace, iterations_used=iters,
-                     converged=converged, final_step=step, solver="prisma",
+        step *= GROWTH
+    return FitResult(mu=best[0], A=best[1], objective_trace=trace,
+                     iterations_used=iters, converged=converged,
+                     final_step=step, solver="prisma",
                      sufficient_decrease_ok=decrease_ok)
 
 
@@ -264,44 +262,20 @@ def _default_init(data, loss_kind: str):
     return mu0, np.zeros((d, d))
 
 
-def _solve(smooth: Callable, spec: PenaltySpec, mu0: np.ndarray,
-           A0: np.ndarray, config: FitConfig) -> FitResult:
-    """Dispatch to FISTA or PRISMA depending on the active penalty terms."""
-    weights = spec.weights
-    has_trace = spec.use_trace and weights.tau > 0
-    if has_trace and spec.use_l1_A:
-        return fit_prisma(smooth, weights, spec, mu0, A0, config)
-
-    def pen(mu, A):
-        return pen_value(mu, A, spec)
-
-    def prox(v_mu, v_A, step):
-        p_mu = prox_l1_nonneg(v_mu, weights.w, step) if spec.use_l1_mu \
-            else np.maximum(v_mu, 0.0)
-        if has_trace:
-            return p_mu, prox_trace(v_A, step * weights.tau)
-        p_A = prox_l1_nonneg(v_A, weights.W, step) if spec.use_l1_A \
-            else np.maximum(v_A, 0.0)
-        return p_mu, p_A
-
-    if not has_trace:
-        return fit_fista(smooth, prox, pen, mu0, A0, config)
-    # trace norm alone on A: SVT iterate may leave the orthant;
-    # project at the end (domain constraint)
-    res = fit_fista(smooth, prox, pen, mu0, A0, config,
-                    solver_name="fista-trace")
-    res.A = np.maximum(res.A, 0.0)
-    return res
+def _solve(smooth: Callable, mu0: np.ndarray, A0: np.ndarray,
+           config: FitConfig) -> FitResult:
+    """PRISMA when the weights carry a trace norm (tau > 0), else FISTA."""
+    weights = config.penalty
+    if weights.tau > 0:
+        return fit_prisma(smooth, weights, mu0, A0, config)
+    return fit_fista(smooth, _prox_l1(weights),
+                     lambda mu, A: pen_value(mu, A, weights), mu0, A0, config)
 
 
 def fit_hawkes(data, alpha, config: FitConfig) -> FitResult:
     """Fit (mu, A) on one window with the configured loss and penalty."""
     smooth = _make_loss_oracle(data, alpha, config.loss_kind)
-    if config.init is not None:
-        mu0, A0 = np.array(config.init[0], dtype=float), np.array(config.init[1], dtype=float)
-    else:
-        mu0, A0 = _default_init(data, config.loss_kind)
-    return _solve(smooth, config.penalty, mu0, A0, config)
+    return _solve(smooth, *_default_init(data, config.loss_kind), config)
 
 
 @dataclass(frozen=True)
@@ -314,20 +288,13 @@ class CVResult:
 def heldout_loglik(mu, A, cache: LogLikCache, clip: float = 1e-12) -> float:
     """Log-likelihood of (mu, A) on a held-out window (higher is better).
 
-    ``cache`` is the held-out window's ``build_loglik_cache``.  Intensities
-    are clipped away from zero so hard-thresholded baselines do not produce
-    -inf for every candidate.
+    ``cache`` is the held-out window's ``build_loglik_cache``.  Event
+    intensities are clipped at ``clip`` so hard-thresholded baselines do
+    not produce -inf for every candidate; a node without held-out events
+    contributes only its compensator.
     """
-    mu = np.asarray(mu, dtype=float)
-    A = np.asarray(A, dtype=float)
-    T = cache.horizon_T
-    total = 0.0
-    for j in range(cache.d):
-        H = cache.H_at_events[j]
-        lam = np.maximum(mu[j] + (H @ A[j] if H.size else 0.0), clip)
-        total += float(np.log(lam).sum()) if np.size(lam) else 0.0
-        total -= mu[j] * T + float(A[j] @ cache.int_H[j])
-    return total
+    return -cache.horizon_T * neg_log_likelihood_cached(mu, A, cache,
+                                                        clip).value
 
 
 def cross_validate(data, alpha, config: FitConfig,
@@ -362,10 +329,7 @@ def cross_validate(data, alpha, config: FitConfig,
     def fit_with(stats, smooth_fn, c1, c2, tau, init):
         w = practical_weights(stats, c1, c2, tau) if stats is not None \
             else constant_weights(data.d, c1, c2, tau)
-        spec = replace(config.penalty, weights=w,
-                       use_trace=config.penalty.use_trace and tau > 0)
-        return _solve(smooth_fn, spec, *init,
-                      replace(config, penalty=spec, init=None))
+        return _solve(smooth_fn, *init, replace(config, penalty=w))
 
     scores = []
     best_combo, best_score = None, -np.inf

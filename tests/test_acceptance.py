@@ -255,7 +255,7 @@ class TestCriterion8WeightedImprovement:
 
 class TestCriterion9SolverSanity:
     def test_nopen_consistency_and_sufficient_decrease(self):
-        from hawkesnet import FitConfig, PenaltySpec, fit_hawkes
+        from hawkesnet import FitConfig, fit_hawkes
         from hawkesnet.features import PenaltyWeights
         errors = []
         decrease_ok = True
@@ -267,10 +267,7 @@ class TestCriterion9SolverSanity:
                                       seed=seed))
             weights = PenaltyWeights(w=np.zeros(2), W=np.zeros((2, 2)),
                                      tau=0.0, x=0.0, mode="constant")
-            cfg = FitConfig(penalty=PenaltySpec(weights=weights,
-                                                use_l1_mu=False,
-                                                use_l1_A=False),
-                            max_iter=400, tol=1e-12)
+            cfg = FitConfig(penalty=weights, max_iter=400, tol=1e-12)
             res = fit_hawkes(data, truth.alpha, cfg)
             decrease_ok &= res.sufficient_decrease_ok
             num = (np.sum((res.mu - truth.mu) ** 2)

@@ -1,0 +1,52 @@
+"""The benchmark in ``perfbench/`` wraps and captures program attributes by
+name.  A refactor that renames or moves one fails here, in the fast tier,
+instead of breaking the traced benchmark run."""
+
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+#: the calls ``perfbench/run.py`` captures for its output checks
+CAPTURED = (("cli", "fit_hawkes"), ("experiment", "cross_validate"),
+            ("experiment", "fit_hawkes"), ("solver", "heldout_loglik"),
+            ("bounds", "compute_noise"))
+
+
+class _Modules:
+    """hawkesnet submodules by name, as ``tracing.targets`` reads them."""
+
+    def __getattr__(self, name):
+        return importlib.import_module("hawkesnet." + name)
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_call_sites_exist():
+    targets = _tracing().targets(_Modules())
+    assert targets
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets
+               if not callable(getattr(module, attr, None))]
+    assert missing == []
+
+
+def test_captured_calls_exist():
+    modules = _Modules()
+    missing = [f"{name}.{attr}" for name, attr in CAPTURED
+               if not callable(getattr(getattr(modules, name), attr, None))]
+    assert missing == []
+
+
+def test_heldout_loglik_argument_order():
+    # the benchmark re-scores each captured call from its first two arguments
+    solver = importlib.import_module("hawkesnet.solver")
+    params = list(inspect.signature(solver.heldout_loglik).parameters)
+    assert params == ["mu", "A", "cache", "clip"]

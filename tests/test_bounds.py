@@ -8,7 +8,7 @@ from hawkesnet import (check_opnorm_bound, check_pointwise_bound,
                        compute_noise, compute_stats, default_bound_params,
                        opnorm_bound_rhs, pointwise_bound_rhs,
                        wilson_interval)
-from hawkesnet import SimConfig, simulate
+from hawkesnet import SimConfig, simulate, simulate_replication
 from tests.conftest import random_instance
 
 
@@ -59,6 +59,31 @@ class TestComputeNoise:
         Zs = np.array(Zs)
         se = Zs.std(axis=0, ddof=1) / math.sqrt(len(Zs))
         assert np.all(np.abs(Zs.mean(axis=0)) < 4 * se)
+
+    def test_calibrated_against_observable_variance(self):
+        # Z_jk and M_T are martingales started at 0 under the true model,
+        # so E Z_jk^2 = E [Z_jk]_T = E T Vhat_jk, E M_T = 0 and
+        # E M_T^2 = E [M]_T = E N(T).  The per-replication differences
+        # have mean zero; a Z scaled up or down shifts the first one.
+        params = default_bound_params(2, mu=0.5, coupling_opnorm=0.5)
+        T, reps = 20.0, 1000
+        sq_gap, M, M_sq_gap = [], [], []
+        for rep in range(reps):
+            data = simulate_replication(params, T, 0, rep)
+            noise = compute_noise(params, data)
+            stats = compute_stats(data, params.alpha)
+            sq_gap.append(noise.Z ** 2 - T * stats.Vhat)
+            M.append(noise.M_T)
+            M_sq_gap.append(noise.M_T ** 2 - data.counts)
+        sq_gap, M, M_sq_gap = map(np.array, (sq_gap, M, M_sq_gap))
+
+        def z_score(x):
+            return x.mean(axis=0) / (x.std(axis=0, ddof=1) / math.sqrt(len(x)))
+
+        assert np.all(np.abs(z_score(sq_gap)) < 4)
+        assert abs(z_score(sq_gap.sum(axis=(1, 2)))) < 4
+        assert np.all(np.abs(z_score(M)) < 4)
+        assert np.all(np.abs(z_score(M_sq_gap)) < 4)
 
     def test_opnorm_dominates_entries(self):
         params, data = random_instance(4, d=3, horizon=20.0)

@@ -120,6 +120,20 @@ class TestFitEval:
         assert code == 0
         assert np.all(read_matrix_csv(os.path.join(out_dir, "A_hat.csv")) >= 0)
 
+    def test_tau_applies_to_nuclear_procedures_only(self, sim_files, tmp_path,
+                                                    capsys):
+        events, _ = sim_files
+        for proc, tau, solver in (("wL1", 0.0, "fista"),
+                                  ("wL1Nuclear", 0.02, "prisma")):
+            out_dir = str(tmp_path / proc)
+            code, out, err = run_cli(capsys, "fit", "--events", events,
+                                     "--procedure", proc, "--tau", "0.02",
+                                     "--out-dir", out_dir)
+            assert code == 0, err
+            with open(os.path.join(out_dir, "weights_meta.json")) as f:
+                assert json.load(f)["tau"] == tau
+            assert json.loads(out)["solver"] == solver
+
     def test_eval_perfect_estimate(self, tmp_path, capsys):
         # scenario ground truth has zeros outside the boxes, so the
         # support contains both classes

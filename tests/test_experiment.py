@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hawkesnet import ExperimentConfig, aggregate, run_experiment
-from hawkesnet.experiment import COLUMNS, procedure_config
+from hawkesnet import experiment
+from hawkesnet.experiment import COLUMNS, PENALTIES
 from hawkesnet.simulate import ScenarioConfig
 
 
@@ -32,16 +33,26 @@ class TestConfigValidation:
 
 
 class TestFitConfigBuilder:
-    def test_nopen_has_no_active_penalty(self):
-        fc = procedure_config("NoPen", 5)
-        assert not fc.penalty.use_l1_mu
-        assert not fc.penalty.use_l1_A
-        assert not fc.penalty.use_trace
-        assert np.all(fc.penalty.weights.w == 0)
+    def test_nopen_has_no_active_penalty(self, monkeypatch):
+        configs = []
+        fit = experiment.fit_hawkes
+
+        def recorded(data, alpha, config):
+            configs.append(config)
+            return fit(data, alpha, config)
+
+        monkeypatch.setattr(experiment, "fit_hawkes", recorded)
+        run_experiment(tiny_config(procedures=("NoPen",), n_replications=1))
+        (penalty,) = [c.penalty for c in configs]
+        assert np.all(penalty.w == 0) and np.all(penalty.W == 0)
+        assert penalty.tau == 0.0
+        assert penalty.w.shape == (5,) and penalty.W.shape == (5, 5)
 
     def test_nuclear_enables_trace(self):
-        assert procedure_config("wL1Nuclear", 5).penalty.use_trace
-        assert not procedure_config("wL1", 5).penalty.use_trace
+        assert PENALTIES["wL1Nuclear"] == ("practical", True)
+        assert PENALTIES["L1Nuclear"] == ("constant", True)
+        assert PENALTIES["wL1"] == ("practical", False)
+        assert PENALTIES["L1"] == ("constant", False)
 
 
 class TestRunExperiment:

@@ -33,13 +33,12 @@ class TestEventsJson:
 
 
 class TestEventsCsv:
-    def test_node_time_rows(self, tmp_path):
+    def test_csv_rejected_naming_json(self, tmp_path):
+        # node,time rows carry neither T nor the idle trailing nodes
         path = tmp_path / "events.csv"
         path.write_text("node,time\n0,1.5\n1,0.5\n0,2.5\n")
-        data = read_events(str(path))
-        assert data.d == 2
-        assert np.array_equal(data.events[0], [1.5, 2.5])
-        assert np.array_equal(data.events[1], [0.5])
+        with pytest.raises(ValueError, match="JSON"):
+            read_events(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

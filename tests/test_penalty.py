@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hawkesnet import (PenaltySpec, pen_value, prox_l1_nonneg, prox_trace,
-                       trace_norm)
+from hawkesnet import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 from hawkesnet.features import constant_weights
 from hawkesnet.penalty import numerical_rank
 
@@ -20,17 +19,17 @@ def trace_objective(X, V, tau_step):
 
 class TestPenValue:
     def test_weighted_sum(self):
-        spec = PenaltySpec(weights=constant_weights(2, 0.5, 2.0, tau=1.0),
-                           use_trace=True)
+        weights = constant_weights(2, 0.5, 2.0, tau=1.0)
         mu = np.array([1.0, 3.0])
         A = np.diag([2.0, 1.0])
         expected = 0.5 * 4 + 2.0 * 3 + 1.0 * 3
-        assert pen_value(mu, A, spec) == pytest.approx(expected)
+        assert pen_value(mu, A, weights) == pytest.approx(expected)
 
     def test_terms_toggle_off(self):
-        spec = PenaltySpec(weights=constant_weights(2, 0.5, 2.0, tau=1.0),
-                           use_l1_mu=False, use_l1_A=False, use_trace=False)
-        assert pen_value(np.ones(2), np.ones((2, 2)), spec) == 0.0
+        # a zero weight switches its term off exactly; NoPen is zero weights
+        mu, A = np.ones(2), np.ones((2, 2))
+        assert pen_value(mu, A, constant_weights(2, 0.0, 0.0)) == 0.0
+        assert pen_value(mu, A, constant_weights(2, 0.0, 2.0)) == 8.0
 
 
 class TestProxL1Nonneg:

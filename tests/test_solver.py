@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hawkesnet import (CVResult, FitConfig, ModelParams, PenaltySpec,
-                       SimConfig, cross_validate, fit_hawkes, pen_value,
-                       prox_l1_nonneg, prox_trace, simulate)
+from hawkesnet import (CVResult, EventData, FitConfig, ModelParams, SimConfig,
+                       build_loglik_cache, cross_validate, fit_hawkes,
+                       pen_value, prox_l1_nonneg, simulate)
 from hawkesnet import solver
 from hawkesnet.features import constant_weights
-from hawkesnet.solver import (LineSearchError, _make_loss_oracle, fit_fista,
-                              fit_prisma)
+from hawkesnet.solver import (LineSearchError, _make_loss_oracle, _solve,
+                              fit_fista, fit_prisma, heldout_loglik)
 from tests.conftest import random_instance
 
 
@@ -18,7 +18,7 @@ def zero_weights(d):
 
 
 def nopen_config(d, **kw):
-    return FitConfig(penalty=PenaltySpec(weights=zero_weights(d)), **kw)
+    return FitConfig(penalty=zero_weights(d), **kw)
 
 
 class TestFitFista:
@@ -31,8 +31,7 @@ class TestFitFista:
         w = constant_weights(2, 1.0, 1e6)
         pinned = type(w)(w=np.zeros(2), W=w.W, tau=0.0, x=0.0,
                          mode="constant")
-        cfg = FitConfig(penalty=PenaltySpec(weights=pinned), max_iter=200,
-                        tol=1e-14)
+        cfg = FitConfig(penalty=pinned, max_iter=200, tol=1e-14)
         res = fit_hawkes(data, params.alpha, cfg)
         assert np.all(res.A == 0.0)
         assert res.mu == pytest.approx(data.counts / 100.0, abs=1e-8)
@@ -41,7 +40,7 @@ class TestFitFista:
     def test_overpenalization_returns_zero(self):
         params, data = random_instance(1, d=2, horizon=50.0)
         big = constant_weights(2, 1e4, 1e4)
-        cfg = FitConfig(penalty=PenaltySpec(weights=big), max_iter=50)
+        cfg = FitConfig(penalty=big, max_iter=50)
         res = fit_hawkes(data, params.alpha, cfg)
         assert np.all(res.mu == 0.0)
         assert np.all(res.A == 0.0)
@@ -49,7 +48,7 @@ class TestFitFista:
     def test_objective_trace_best_iterate(self):
         params, data = random_instance(2, d=2, horizon=60.0)
         w = constant_weights(2, 0.01, 0.01)
-        cfg = FitConfig(penalty=PenaltySpec(weights=w), max_iter=80)
+        cfg = FitConfig(penalty=w, max_iter=80)
         res = fit_hawkes(data, params.alpha, cfg)
         smooth = _make_loss_oracle(data, params.alpha, "least-squares")
         final_obj = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A,
@@ -73,9 +72,9 @@ class TestFitFista:
                     prox_l1_nonneg(vA, w.W, step))
 
         def pen(mu, A):
-            return pen_value(mu, A, PenaltySpec(weights=w))
+            return pen_value(mu, A, w)
 
-        cfg = FitConfig(penalty=PenaltySpec(weights=w), max_iter=40)
+        cfg = FitConfig(penalty=w, max_iter=40)
         res = fit_fista(checked_smooth, prox, pen, np.zeros(2),
                         np.zeros((2, 2)), cfg)
         assert res.sufficient_decrease_ok
@@ -92,9 +91,9 @@ class TestFitFista:
             return np.maximum(vm, 0.0), np.maximum(vA, 0.0)
 
         def pen(mu, A):
-            return pen_value(mu, A, PenaltySpec(weights=w))
+            return pen_value(mu, A, w)
 
-        cfg = FitConfig(penalty=PenaltySpec(weights=w), max_iter=5)
+        cfg = FitConfig(penalty=w, max_iter=5)
         res = fit_fista(smooth, wrong_prox, pen, np.zeros(2),
                         np.zeros((2, 2)), cfg)
         assert not res.sufficient_decrease_ok
@@ -130,74 +129,53 @@ class TestFitFista:
 
     def test_infeasible_start_raises(self):
         params, data = random_instance(6, d=2, horizon=30.0)
-        cfg = nopen_config(2, loss_kind="log-likelihood",
-                           init=(np.zeros(2), np.zeros((2, 2))))
+        cfg = nopen_config(2, loss_kind="log-likelihood")
+        smooth = _make_loss_oracle(data, params.alpha, cfg.loss_kind)
         with pytest.raises(LineSearchError):
-            fit_hawkes(data, params.alpha, cfg)
+            _solve(smooth, np.zeros(2), np.zeros((2, 2)), cfg)
 
 
 class TestFitPrisma:
     def test_tau_zero_matches_fista(self):
         params, data = random_instance(7, d=2, horizon=80.0)
         w = constant_weights(2, 0.01, 0.01, tau=0.0)
-        spec = PenaltySpec(weights=w, use_trace=True)
         smooth = _make_loss_oracle(data, params.alpha, "least-squares")
-        cfg = FitConfig(penalty=spec, max_iter=300, tol=1e-12)
-        res_p = fit_prisma(smooth, w, spec, np.zeros(2), np.zeros((2, 2)),
-                           cfg)
+        cfg = FitConfig(penalty=w, max_iter=300, tol=1e-12)
+        res_p = fit_prisma(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
         res_f = fit_hawkes(data, params.alpha,
-                           FitConfig(penalty=PenaltySpec(weights=w),
-                                     max_iter=300, tol=1e-12))
-        obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A,
-                                                         spec)
-        obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A,
-                                                         spec)
+                           FitConfig(penalty=w, max_iter=300, tol=1e-12))
+        obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A, w)
+        obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A, w)
         assert obj_p == pytest.approx(obj_f, rel=1e-4, abs=1e-8)
 
     def test_mixed_penalty_nonnegative_output(self):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        spec = PenaltySpec(weights=w, use_trace=True)
         res = fit_hawkes(data, params.alpha,
-                         FitConfig(penalty=spec, max_iter=100))
+                         FitConfig(penalty=w, max_iter=100))
         assert res.solver == "prisma"
         assert np.all(res.A >= 0) and np.all(res.mu >= 0)
 
     def test_sufficient_decrease_computed(self, monkeypatch):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        cfg = FitConfig(penalty=PenaltySpec(weights=w, use_trace=True),
-                        max_iter=50)
+        cfg = FitConfig(penalty=w, max_iter=50)
         assert fit_hawkes(data, params.alpha, cfg).sufficient_decrease_ok
         # an l1 prox that ignores its weights lets the l1 term grow
         monkeypatch.setattr(solver, "prox_l1_nonneg",
                             lambda v, weights, step: np.maximum(v, 0.0))
-        big = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(3, 10.0, 10.0, tau=0.05),
-            use_trace=True), max_iter=5)
+        big = FitConfig(penalty=constant_weights(3, 10.0, 10.0, tau=0.05),
+                        max_iter=5)
         res = fit_hawkes(data, params.alpha, big)
         assert res.solver == "prisma"
         assert not res.sufficient_decrease_ok
 
-    def test_trace_only_uses_fista_trace(self):
-        params, data = random_instance(9, d=2, horizon=60.0)
-        w = constant_weights(2, 0.01, 0.01, tau=0.05)
-        spec = PenaltySpec(weights=w, use_l1_A=False, use_trace=True)
-        res = fit_hawkes(data, params.alpha,
-                         FitConfig(penalty=spec, max_iter=100))
-        assert res.solver == "fista-trace"
-        assert np.all(res.A >= 0)
-
     def test_large_tau_drops_rank(self):
         params, data = random_instance(10, d=3, horizon=80.0)
         small = fit_hawkes(data, params.alpha, FitConfig(
-            penalty=PenaltySpec(weights=constant_weights(3, 0.001, 0.001,
-                                                         tau=1e-6),
-                                use_trace=True), max_iter=200))
+            penalty=constant_weights(3, 0.001, 0.001, tau=1e-6), max_iter=200))
         big = fit_hawkes(data, params.alpha, FitConfig(
-            penalty=PenaltySpec(weights=constant_weights(3, 0.001, 0.001,
-                                                         tau=10.0),
-                                use_trace=True), max_iter=200))
+            penalty=constant_weights(3, 0.001, 0.001, tau=10.0), max_iter=200))
         s_small = np.linalg.svd(small.A, compute_uv=False).sum()
         s_big = np.linalg.svd(big.A, compute_uv=False).sum()
         assert s_big <= s_small + 1e-10
@@ -205,22 +183,37 @@ class TestFitPrisma:
 
 class TestFitConfigValidation:
     def test_bad_values(self):
-        spec = PenaltySpec(weights=zero_weights(1))
+        zero = zero_weights(1)
         with pytest.raises(ValueError):
-            FitConfig(penalty=spec, max_iter=0)
+            FitConfig(penalty=zero, max_iter=0)
         with pytest.raises(ValueError):
-            FitConfig(penalty=spec, tol=0.0)
+            FitConfig(penalty=zero, tol=0.0)
         with pytest.raises(ValueError):
-            FitConfig(penalty=spec, shrink=1.0)
-        with pytest.raises(ValueError):
-            FitConfig(penalty=spec, loss_kind="huber")
+            FitConfig(penalty=zero, loss_kind="huber")
+
+
+class TestHeldoutLoglik:
+    def test_idle_node_adds_only_its_compensator(self):
+        # node 1 has no events: log-lik = 2 log 0.5 - 0.5 * 10 - 0 * 10
+        data = EventData(10.0, (np.array([1.0, 2.0]), np.empty(0)))
+        cache = build_loglik_cache(data, np.ones((2, 2)))
+        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), cache)
+        assert score == pytest.approx(2 * np.log(0.5) - 5.0, rel=1e-14)
+        assert score == pytest.approx(-6.386, abs=1e-3)
+
+    def test_clip_floors_zero_intensities(self):
+        data = EventData(10.0, (np.array([1.0, 2.0]), np.array([3.0])))
+        cache = build_loglik_cache(data, np.ones((2, 2)))
+        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), cache,
+                               clip=1e-12)
+        assert score == pytest.approx(2 * np.log(0.5) - 5.0 + np.log(1e-12),
+                                      rel=1e-14)
 
 
 class TestCrossValidate:
     def test_single_point_grid(self):
         params, data = random_instance(11, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)), max_iter=60)
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                             weighting="practical")
         assert isinstance(cv, CVResult)
@@ -230,23 +223,20 @@ class TestCrossValidate:
     def test_rejects_degenerate_penalty_vs_reasonable(self):
         # grid {tiny, huge}: huge forces theta = 0 which scores worse
         params, data = random_instance(12, d=2, horizon=120.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)), max_iter=60)
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5, 1e6), (0.5, 1e6),
                             weighting="practical")
         assert cv.best[0] == 0.5 and cv.best[1] == 0.5
 
     def test_empty_grid_rejected(self):
         params, data = random_instance(13, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)))
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01))
         with pytest.raises(ValueError):
             cross_validate(data, params.alpha, cfg, (), (0.5,))
 
     def test_constant_weighting_mode(self):
         params, data = random_instance(14, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)), max_iter=60)
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
                             (0.01, 0.03), weighting="constant")
         assert cv.best[0] in (0.01, 0.03)
@@ -268,8 +258,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(solver, "build_loglik_cache", counted_cache)
         monkeypatch.setattr(solver, "compute_stats", no_stats)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)), max_iter=20)
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=20)
         cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
                             (0.01, 0.03), weighting="constant")
         assert len(cv.scores) == 4
@@ -277,17 +266,15 @@ class TestCrossValidate:
 
     def test_unknown_weighting_rejected(self):
         params, data = random_instance(14, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01)))
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01))
         with pytest.raises(ValueError):
             cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                            weighting="theoretical")
 
     def test_tau_grid_with_trace(self):
         params, data = random_instance(15, d=2, horizon=80.0)
-        cfg = FitConfig(penalty=PenaltySpec(
-            weights=constant_weights(2, 0.01, 0.01, tau=0.01),
-            use_trace=True), max_iter=60)
+        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01, tau=0.01),
+                        max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                             tau_grid=(0.001, 0.1), weighting="practical")
         assert cv.best[2] in (0.001, 0.1)
