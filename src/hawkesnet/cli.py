@@ -88,15 +88,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _weights_from_args(args, stats):
-    if args.weighting == "theoretical":
-        x = args.x if args.x is not None else float(np.log(stats.d))
-        return theoretical_weights(stats, x)
-    if args.weighting == "practical":
-        return practical_weights(stats, args.c1, args.c2, args.tau)
-    return constant_weights(stats.d, args.c1, args.c2, args.tau)
-
-
 def cmd_fit(args) -> int:
     data = io.read_events(args.events)
     d = data.d
@@ -116,11 +107,10 @@ def cmd_fit(args) -> int:
             weights = constant_weights(d, args.c1, args.c2, tau)
         io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
         io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
-        io.write_json({"tau": weights.tau, "mode": weights.mode},
+        io.write_json({"tau": weights.tau, "mode": weighting},
                       os.path.join(out_dir, "weights_meta.json"))
-    cfg = FitConfig(penalty=weights, loss_kind=args.loss,
-                    max_iter=args.max_iter)
-    result = fit_hawkes(data, alpha, cfg)
+    cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
+    result = fit_hawkes(data, alpha, weights, cfg)
     io.write_vector(result.mu, os.path.join(out_dir, "mu_hat.csv"))
     io.write_matrix_csv(result.A, os.path.join(out_dir, "A_hat.csv"))
     io.write_json(result.as_dict(), os.path.join(out_dir, "diagnostics.json"))
@@ -145,9 +135,7 @@ def cmd_xval(args) -> int:
     data = io.read_events(args.events)
     d = data.d
     alpha = np.full((d, d), args.alpha)
-    # cross_validate sets the weights of each grid point
-    cfg = FitConfig(penalty=constant_weights(d, 0.0, 0.0), loss_kind=args.loss,
-                    max_iter=args.max_iter)
+    cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
     weighting, use_trace = PENALTIES[args.procedure]
     tau_grid = tuple(args.tau_grid) if use_trace else (0.0,)
     cv = cross_validate(data, alpha, cfg, tuple(args.c1_grid),
@@ -165,14 +153,22 @@ def cmd_weights(args) -> int:
     data = io.read_events(args.events)
     d = data.d
     alpha = np.full((d, d), args.alpha)
-    stats = compute_stats(data, alpha)
-    weights = _weights_from_args(args, stats)
+    meta = {"mode": args.weighting}
+    # x is an input of theoretical weighting only; constant weights read
+    # no statistics
+    if args.weighting == "theoretical":
+        meta["x"] = args.x if args.x is not None else float(np.log(d))
+        weights = theoretical_weights(compute_stats(data, alpha), meta["x"])
+    elif args.weighting == "practical":
+        weights = practical_weights(compute_stats(data, alpha), args.c1,
+                                    args.c2, args.tau)
+    else:
+        weights = constant_weights(d, args.c1, args.c2, args.tau)
     out_dir = io.ensure_dir(args.out_dir)
     io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
-    io.write_json({"w": weights.w.tolist(), "tau": weights.tau,
-                   "x": weights.x, "mode": weights.mode},
-                  os.path.join(out_dir, "weights_mu.json"))
-    print(json.dumps({"tau": weights.tau, "mode": weights.mode}))
+    meta.update(w=weights.w.tolist(), tau=weights.tau)
+    io.write_json(meta, os.path.join(out_dir, "weights_mu.json"))
+    print(json.dumps({"tau": weights.tau, "mode": args.weighting}))
     return 0
 
 
@@ -224,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate events by Ogata thinning")
-    sim.add_argument("--config", help="JSON config file (flags override)")
+    sim.add_argument("--config", help="JSON config file; a key in the file "
+                     "wins over its flag (d, mu, a, alpha, T, seed and the "
+                     "scenario keys)")
     sim.add_argument("--d", type=int, default=1)
     sim.add_argument("--mu", type=float, default=0.1)
     sim.add_argument("--a", type=float, default=0.0,

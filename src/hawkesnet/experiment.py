@@ -70,15 +70,15 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
     """All rows for one replication (simulate once, truncate per horizon)."""
     data_full = simulate_replication(params, max(cfg.horizons), cfg.seed, rep)
     alpha = params.alpha
-    # the weights are NoPen's; cross_validate replaces them per grid point
-    fit_cfg = FitConfig(penalty=constant_weights(params.d, 0.0, 0.0),
-                        loss_kind=cfg.loss_kind, max_iter=cfg.max_iter)
+    fit_cfg = FitConfig(loss_kind=cfg.loss_kind, max_iter=cfg.max_iter)
     rows = []
     for T in cfg.horizons:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
             if procedure == "NoPen":
-                result = fit_hawkes(data, alpha, fit_cfg)
+                result = fit_hawkes(data, alpha,
+                                    constant_weights(params.d, 0.0, 0.0),
+                                    fit_cfg)
                 c1 = c2 = tau = 0.0
             else:
                 weighting, use_trace = PENALTIES[procedure]

@@ -10,13 +10,17 @@ between events.  Rows of H with equal decay rows alpha[j, :] are equal, so
 distinct decay row, O(N * d) for N merged events, and everything here and
 in ``loss`` is array algebra over its N x d states.  A uniform alpha has
 one distinct row: O(N * d) time and O(d^2) memory beyond the states.
+
+``PenaltyWeights`` (w, W, tau) is the whole penalty,
+w . |mu| + W . |A| + tau * ||A||_*, and the argument that
+``solver.fit_hawkes`` takes.  Theoretical, practical and constant
+weighting differ only in how they compute it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -150,10 +154,6 @@ class PenaltyWeights:
     w: np.ndarray
     W: np.ndarray
     tau: float
-    x: float
-    mode: str  # "theoretical" | "practical"
-    c1: Optional[float] = None
-    c2: Optional[float] = None
 
 
 def compute_stats(data, alpha) -> FeatureStats:
@@ -257,7 +257,7 @@ def theoretical_weights(stats: FeatureStats, x: float) -> PenaltyWeights:
         TAU_LIN_A + TAU_LIN_B * stats.sup_H_2inf
     ) / T
 
-    return PenaltyWeights(w=w, W=W, tau=tau, x=x, mode="theoretical")
+    return PenaltyWeights(w=w, W=W, tau=tau)
 
 
 def practical_weights(stats: FeatureStats, c1: float, c2: float,
@@ -275,12 +275,10 @@ def practical_weights(stats: FeatureStats, c1: float, c2: float,
     lev = math.log(T) + math.log(stats.d)
     w = c1 * np.sqrt(lev * (stats.node_counts / T) / T)
     W = c2 * np.sqrt(lev * stats.Vhat / T)
-    return PenaltyWeights(w=w, W=W, tau=tau, x=math.log(T), mode="practical",
-                          c1=c1, c2=c2)
+    return PenaltyWeights(w=w, W=W, tau=tau)
 
 
-def constant_weights(d: int, c1: float, c2: float, tau: float = 0.0,
-                     x: float = 0.0) -> PenaltyWeights:
+def constant_weights(d: int, c1: float, c2: float,
+                     tau: float = 0.0) -> PenaltyWeights:
     """Non-weighted l1 penalties: a single constant per block."""
-    return PenaltyWeights(w=np.full(d, c1), W=np.full((d, d), c2), tau=tau,
-                          x=x, mode="constant", c1=c1, c2=c2)
+    return PenaltyWeights(w=np.full(d, c1), W=np.full((d, d), c2), tau=tau)

@@ -27,7 +27,6 @@ class LossValueGrad:
     value: float
     grad_mu: np.ndarray
     grad_A: np.ndarray
-    feasible: bool = True
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,10 @@ def neg_log_likelihood_cached(mu, A, cache: LogLikCache,
     """Negative log-likelihood (normalized by 1/T) and gradient.
 
     Intensities are taken at event left-limits (predictable convention).
-    Returns value = +inf with feasible=False when some event has zero
-    intensity, so line searches can backtrack instead of crashing.  A
-    positive ``clip`` floors every event intensity instead, for scoring
-    held-out windows; the gradient then ignores the floor.
+    Returns value = +inf when some event has zero intensity, so line
+    searches can backtrack instead of crashing.  A positive ``clip``
+    floors every event intensity instead, for scoring held-out windows;
+    the gradient then ignores the floor.
     """
     mu = np.asarray(mu, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -156,18 +155,10 @@ def neg_log_likelihood_cached(mu, A, cache: LogLikCache,
         if clip > 0:
             lam = np.maximum(lam, clip)
         elif np.any(lam <= 0):
-            return LossValueGrad(value=np.inf, grad_mu=grad_mu, grad_A=grad_A,
-                                 feasible=False)
+            return LossValueGrad(value=np.inf, grad_mu=grad_mu, grad_A=grad_A)
         compensator = mu[j] * T + float(A[j] @ cache.int_H[j])
         value -= float(np.log(lam).sum()) - compensator
         inv = 1.0 / lam if lam.size else lam
         grad_mu[j] = -(float(inv.sum()) - T)
         grad_A[j] = -((H.T @ inv if H.size else 0.0) - cache.int_H[j])
     return LossValueGrad(value=value / T, grad_mu=grad_mu / T, grad_A=grad_A / T)
-
-
-def neg_log_likelihood(params, data, alpha=None) -> LossValueGrad:
-    """Convenience wrapper building the cache from raw events."""
-    alpha = params.alpha if alpha is None else alpha
-    cache = build_loglik_cache(data, alpha)
-    return neg_log_likelihood_cached(params.mu, params.A, cache)

@@ -107,23 +107,6 @@ class EventData:
         return times[order], nodes[order]
 
 
-@dataclass(frozen=True)
-class IntensityTrace:
-    """Sampled intensity path of a single node."""
-
-    node: int
-    sample_times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sample_times", _as_readonly(self.sample_times))
-        object.__setattr__(self, "values", _as_readonly(self.values))
-        if self.sample_times.shape != self.values.shape:
-            raise ValueError("sample_times and values must have equal length")
-        if np.any(self.values < 0):
-            raise ValueError("intensities must be nonnegative")
-
-
 def intensity_at(params: ModelParams, data: EventData, node: int, t: float) -> float:
     """Exact intensity of ``node`` at time t, excluding events at exactly t."""
     if not 0 <= node < params.d:
@@ -138,14 +121,6 @@ def intensity_at(params: ModelParams, data: EventData, node: int, t: float) -> f
                 np.exp(-params.alpha[node, k] * (t - past)).sum()
             )
     return total
-
-
-def intensity_trace(params: ModelParams, data: EventData, node: int,
-                    sample_times) -> IntensityTrace:
-    """Evaluate the intensity of ``node`` on a grid of sample times."""
-    st = np.asarray(sample_times, dtype=float)
-    vals = np.array([intensity_at(params, data, node, t) for t in st])
-    return IntensityTrace(node=node, sample_times=st, values=vals)
 
 
 def branching_matrix(params: ModelParams) -> np.ndarray:

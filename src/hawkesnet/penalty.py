@@ -6,9 +6,6 @@ import numpy as np
 
 from .features import PenaltyWeights
 
-#: singular values below RANK_TOL * sigma_max count as zero for rank reports
-RANK_TOL = 1e-12
-
 
 def trace_norm(A) -> float:
     return float(np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False).sum())
@@ -53,10 +50,3 @@ def prox_trace(V, tau_step: float):
     U, s, Vt = np.linalg.svd(V, full_matrices=False)
     s_thr = np.maximum(s - tau_step, 0.0)
     return (U * s_thr) @ Vt
-
-
-def numerical_rank(A) -> int:
-    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))

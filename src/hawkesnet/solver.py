@@ -1,11 +1,13 @@
 """Penalized empirical-risk solvers.
 
-The penalty is its weights: w . |mu| + W . |A| + tau * ||A||_* over
-mu, A >= 0 (``PenaltyWeights``).  Without a trace norm (tau = 0) FISTA,
-accelerated proximal gradient with backtracking and momentum restart,
-takes exact weighted-l1 + nonnegativity prox steps.  With tau > 0 a
-PRISMA-style splitting smooths the trace norm with a decreasing parameter
-and takes the same exact prox steps on the l1 + nonnegativity term.
+Every solver takes the penalty as an argument, its weights
+``PenaltyWeights(w, W, tau)``: w . |mu| + W . |A| + tau * ||A||_* over
+mu, A >= 0.  ``FitConfig`` holds only the solver settings (loss, iteration
+budget, tolerance).  Without a trace norm (tau = 0) FISTA, accelerated
+proximal gradient with backtracking and momentum restart, takes exact
+weighted-l1 + nonnegativity prox steps.  With tau > 0 a PRISMA-style
+splitting smooths the trace norm with a decreasing parameter and takes the
+same exact prox steps on the l1 + nonnegativity term.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ PRISMA_BETA0 = 1.0
 
 @dataclass(frozen=True)
 class FitConfig:
-    penalty: PenaltyWeights
     loss_kind: str = "least-squares"  # or "log-likelihood"
     max_iter: int = 100
     tol: float = 1e-7
@@ -52,7 +53,10 @@ class FitResult:
     objective_trace: list
     iterations_used: int
     converged: bool
+    #: the step of the last accepted iterate
     final_step: float
+    #: the penalized objective at the returned (mu, A)
+    final_objective: float
     solver: str  # "fista" | "prisma"
     #: no step taken from y = x raised the objective it minimises
     sufficient_decrease_ok: bool
@@ -64,7 +68,7 @@ class FitResult:
             "final_step": self.final_step,
             "solver": self.solver,
             "sufficient_decrease_ok": self.sufficient_decrease_ok,
-            "final_objective": self.objective_trace[-1] if self.objective_trace else None,
+            "final_objective": self.final_objective,
         }
 
 
@@ -85,10 +89,12 @@ def _within_tol(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step):
-    """Shrink step until the quadratic upper bound holds at the prox point."""
+def _backtrack(smooth, weights, y_mu, y_A, f_y, g_mu, g_A, step):
+    """Shrink step until the quadratic upper bound holds at the point of the
+    weighted-l1 + nonnegativity prox (a projection for zero weights)."""
     while True:
-        x_mu, x_A = prox(y_mu - step * g_mu, y_A - step * g_A, step)
+        x_mu = prox_l1_nonneg(y_mu - step * g_mu, weights.w, step)
+        x_A = prox_l1_nonneg(y_A - step * g_A, weights.W, step)
         f_new = smooth(x_mu, x_A)[0]
         d_mu, d_A = x_mu - y_mu, x_A - y_A
         bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
@@ -99,32 +105,26 @@ def _backtrack(smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step):
             raise LineSearchError("line search failed (step underflow)")
 
 
-def _prox_l1(weights: PenaltyWeights) -> Callable:
-    """Weighted-l1 + nonnegativity prox on (mu, A); zero weights project."""
-    def prox(v_mu, v_A, step):
-        return (prox_l1_nonneg(v_mu, weights.w, step),
-                prox_l1_nonneg(v_A, weights.W, step))
-    return prox
-
-
-def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
+def fit_fista(smooth: Callable, weights: PenaltyWeights,
               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Accelerated proximal gradient with backtracking and momentum restart.
 
-    ``smooth(mu, A) -> (value, grad_mu, grad_A)``; ``prox(mu, A, step)``
-    is the prox of the nonsmooth part; ``pen(mu, A)`` its value.  Returns
-    the best iterate by penalized objective.  ``sufficient_decrease_ok``
-    says whether every step from y = x (the first, and after each momentum
-    restart) kept the objective from rising, as an exact prox does.
+    ``smooth(mu, A) -> (value, grad_mu, grad_A)``; the weights carry no
+    trace norm (tau = 0), so their prox is exact.  Returns the best iterate
+    by penalized objective.  ``sufficient_decrease_ok`` says whether every
+    step from y = x (the first, and after each momentum restart) kept the
+    objective from rising, as an exact prox does.
     """
+    if weights.tau > 0:
+        raise ValueError("fit_fista takes no trace norm; use fit_prisma")
     x_mu, x_A = mu0.copy(), A0.copy()
     y_mu, y_A = x_mu.copy(), x_A.copy()
     t_mom = 1.0
-    step = STEP0
+    trial = STEP0
     f0 = smooth(x_mu, x_A)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
-    obj_prev = f0 + pen(x_mu, x_A)
+    obj_prev = f0 + pen_value(x_mu, x_A, weights)
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
     converged = False
@@ -140,8 +140,8 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
             from_x = True
             f_y, g_mu, g_A = smooth(y_mu, y_A)
         xn_mu, xn_A, f_new, step = _backtrack(
-            smooth, prox, y_mu, y_A, f_y, g_mu, g_A, step)
-        obj = f_new + pen(xn_mu, xn_A)
+            smooth, weights, y_mu, y_A, f_y, g_mu, g_A, trial)
+        obj = f_new + pen_value(xn_mu, xn_A, weights)
         trace.append(obj)
         if from_x:
             decrease_ok &= _within_tol(obj, obj_prev)
@@ -158,16 +158,15 @@ def fit_fista(smooth: Callable, prox: Callable, pen: Callable,
             y_mu = xn_mu + beta * (xn_mu - x_mu)
             y_A = xn_A + beta * (xn_A - x_A)
         if abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol:
-            x_mu, x_A = xn_mu, xn_A
             converged = True
             break
         x_mu, x_A = xn_mu, xn_A
         t_mom = t_new
         obj_prev = obj
-        step *= GROWTH
+        trial = step * GROWTH
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
                      iterations_used=iters, converged=converged,
-                     final_step=step, solver="fista",
+                     final_step=step, final_objective=best[2], solver="fista",
                      sufficient_decrease_ok=decrease_ok)
 
 
@@ -185,10 +184,9 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
     """
     tau = weights.tau
     l1 = replace(weights, tau=0.0)
-    prox = _prox_l1(weights)
 
     x_mu, x_A = mu0.copy(), A0.copy()
-    step = STEP0
+    trial = STEP0
     f0 = smooth_loss(x_mu, x_A)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
@@ -215,7 +213,7 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
 
         f_x, g_mu, g_A = smooth_k(x_mu, x_A)
         xn_mu, xn_A, f_new, step = _backtrack(
-            smooth_k, prox, x_mu, x_A, f_x, g_mu, g_A, step)
+            smooth_k, weights, x_mu, x_A, f_x, g_mu, g_A, trial)
         decrease_ok &= _within_tol(f_new + pen_value(xn_mu, xn_A, l1),
                                    f_x + pen_value(x_mu, x_A, l1))
         obj = smooth_loss(xn_mu, xn_A)[0] + pen_value(xn_mu, xn_A, weights)
@@ -224,15 +222,15 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
         if obj < best[2]:
             best = (xn_mu.copy(), xn_A.copy(), obj)
         if abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol:
-            x_mu, x_A = xn_mu, xn_A
             converged = True
             break
         x_mu, x_A = xn_mu, xn_A
         obj_prev = obj
-        step *= GROWTH
+        trial = step * GROWTH
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
                      iterations_used=iters, converged=converged,
-                     final_step=step, solver="prisma",
+                     final_step=step, final_objective=best[2],
+                     solver="prisma",
                      sufficient_decrease_ok=decrease_ok)
 
 
@@ -262,20 +260,19 @@ def _default_init(data, loss_kind: str):
     return mu0, np.zeros((d, d))
 
 
-def _solve(smooth: Callable, mu0: np.ndarray, A0: np.ndarray,
-           config: FitConfig) -> FitResult:
+def _solve(smooth: Callable, weights: PenaltyWeights, mu0: np.ndarray,
+           A0: np.ndarray, config: FitConfig) -> FitResult:
     """PRISMA when the weights carry a trace norm (tau > 0), else FISTA."""
-    weights = config.penalty
-    if weights.tau > 0:
-        return fit_prisma(smooth, weights, mu0, A0, config)
-    return fit_fista(smooth, _prox_l1(weights),
-                     lambda mu, A: pen_value(mu, A, weights), mu0, A0, config)
+    solve = fit_prisma if weights.tau > 0 else fit_fista
+    return solve(smooth, weights, mu0, A0, config)
 
 
-def fit_hawkes(data, alpha, config: FitConfig) -> FitResult:
-    """Fit (mu, A) on one window with the configured loss and penalty."""
+def fit_hawkes(data, alpha, weights: PenaltyWeights,
+               config: FitConfig = FitConfig()) -> FitResult:
+    """Fit (mu, A) on one window: the config's loss plus the weights' penalty."""
     smooth = _make_loss_oracle(data, alpha, config.loss_kind)
-    return _solve(smooth, *_default_init(data, config.loss_kind), config)
+    return _solve(smooth, weights, *_default_init(data, config.loss_kind),
+                  config)
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,7 @@ def cross_validate(data, alpha, config: FitConfig,
     def fit_with(stats, smooth_fn, c1, c2, tau, init):
         w = practical_weights(stats, c1, c2, tau) if stats is not None \
             else constant_weights(data.d, c1, c2, tau)
-        return _solve(smooth_fn, *init, replace(config, penalty=w))
+        return _solve(smooth_fn, w, *init, config)
 
     scores = []
     best_combo, best_score = None, -np.inf

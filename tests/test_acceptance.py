@@ -266,9 +266,9 @@ class TestCriterion9SolverSanity:
             data = simulate(SimConfig(params=truth, horizon_T=5000.0,
                                       seed=seed))
             weights = PenaltyWeights(w=np.zeros(2), W=np.zeros((2, 2)),
-                                     tau=0.0, x=0.0, mode="constant")
-            cfg = FitConfig(penalty=weights, max_iter=400, tol=1e-12)
-            res = fit_hawkes(data, truth.alpha, cfg)
+                                     tau=0.0)
+            cfg = FitConfig(max_iter=400, tol=1e-12)
+            res = fit_hawkes(data, truth.alpha, weights, cfg)
             decrease_ok &= res.sufficient_decrease_ok
             num = (np.sum((res.mu - truth.mu) ** 2)
                    + np.sum((res.A - truth.A) ** 2))

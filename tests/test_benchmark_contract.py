@@ -6,6 +6,9 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import sys
+
+import pytest
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -50,3 +53,24 @@ def test_heldout_loglik_argument_order():
     solver = importlib.import_module("hawkesnet.solver")
     params = list(inspect.signature(solver.heldout_loglik).parameters)
     assert params == ["mu", "A", "cache", "clip"]
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py`` imported as ``run.py`` imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("workloads")
+    for name in ("workloads", "reference"):
+        sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("study", ["FULL_STUDY", "LIGHT_STUDY"])
+def test_study_inputs_build(study, workloads):
+    # the study step passes these ExperimentConfig fields by name
+    size = getattr(workloads, study)
+    cfgs, (params, _) = workloads.study_inputs(_Modules(), size, range(1, 9))
+    assert len(cfgs) == size.replications
+    for cfg in cfgs:
+        assert cfg.scenario.d == params.d == size.d
+        assert cfg.horizons == (size.T,)
+        assert all(getattr(cfg, k) == v for k, v in size.config.items())

@@ -50,6 +50,19 @@ class TestSimulate:
         assert code == 0
         assert read_events(out_path).d == 10
 
+    @pytest.mark.parametrize("scenario", [False, True])
+    def test_config_keys_win_over_flags(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"d": 4, "T": 30.0}))
+        out_path = str(tmp_path / "c.json")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--d", "2", "--mu", "0.3", "--T", "20",
+                               "--seed", "1", "--out", out_path,
+                               *(["--scenario"] if scenario else []))
+        assert code == 0, err
+        data = read_events(out_path)
+        assert (data.d, data.horizon_T) == (4, 30.0)
+
     def test_unstable_rejected(self, tmp_path, capsys):
         out_path = str(tmp_path / "u.json")
         code, _, err = run_cli(capsys, "simulate", "--d", "2", "--mu", "0.5",
@@ -201,6 +214,7 @@ class TestXvalWeights:
         meta = json.loads(open(os.path.join(out_dir,
                                             "weights_mu.json")).read())
         assert meta["mode"] == "theoretical"
+        assert meta["x"] == 2.0
         assert meta["tau"] > 0
 
     def test_weights_practical(self, sim_files, tmp_path, capsys):
@@ -211,6 +225,10 @@ class TestXvalWeights:
                                   "--c2", "2", "--out-dir", out_dir)
         assert code == 0
         assert json.loads(stdout)["mode"] == "practical"
+        meta = json.loads(open(os.path.join(out_dir,
+                                            "weights_mu.json")).read())
+        # x is an input of theoretical weighting only
+        assert set(meta) == {"w", "tau", "mode"}
 
 
 class TestCheckBounds:

@@ -34,16 +34,17 @@ class TestConfigValidation:
 
 class TestFitConfigBuilder:
     def test_nopen_has_no_active_penalty(self, monkeypatch):
-        configs = []
+        calls = []
         fit = experiment.fit_hawkes
 
-        def recorded(data, alpha, config):
-            configs.append(config)
-            return fit(data, alpha, config)
+        def recorded(data, alpha, weights, config):
+            calls.append((weights, config))
+            return fit(data, alpha, weights, config)
 
         monkeypatch.setattr(experiment, "fit_hawkes", recorded)
         run_experiment(tiny_config(procedures=("NoPen",), n_replications=1))
-        (penalty,) = [c.penalty for c in configs]
+        ((penalty, config),) = calls
+        assert (config.loss_kind, config.max_iter) == ("least-squares", 30)
         assert np.all(penalty.w == 0) and np.all(penalty.W == 0)
         assert penalty.tau == 0.0
         assert penalty.w.shape == (5,) and penalty.W.shape == (5, 5)

@@ -8,8 +8,9 @@ from scipy.integrate import quad
 
 from hawkesnet import (EventData, FeatureStats, ModelParams,
                        build_loglik_cache, compute_stats, constant_weights,
-                       intensity_at, neg_log_likelihood, practical_weights,
-                       precompute_gram, theoretical_weights)
+                       intensity_at, neg_log_likelihood_cached,
+                       practical_weights, precompute_gram,
+                       theoretical_weights)
 from tests.conftest import random_instance
 
 
@@ -251,7 +252,8 @@ class TestSimultaneousEvents:
             params.A[j, k] * np.sum(-np.expm1(-params.alpha[j, k]
                                               * (T - data.events[k])))
             / params.alpha[j, k] for j in range(d) for k in range(d))
-        nll = neg_log_likelihood(params, data)
+        nll = neg_log_likelihood_cached(
+            params.mu, params.A, build_loglik_cache(data, params.alpha))
         assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
 
 
@@ -274,7 +276,6 @@ class TestTheoreticalWeights:
         st = stats_with_counts([3, 3], d=2, T=50.0)
         pw = theoretical_weights(st, x=1.0)
         assert np.all(pw.W == 0)
-        assert pw.mode == "theoretical"
 
     def test_rejects_nonpositive_x(self):
         st = stats_with_counts([1], d=1, T=10.0)
@@ -306,7 +307,6 @@ class TestPracticalWeights:
         lev = math.log(100) + math.log(2)
         assert pw.w[0] == pytest.approx(math.sqrt(lev * 0.5 / 100), rel=1e-12)
         assert pw.w[0] == pytest.approx(0.16276, abs=5e-6)
-        assert pw.x == pytest.approx(math.log(100))
 
     def test_zero_reductions(self):
         st = stats_with_counts([0, 4], d=2, T=10.0)
@@ -327,4 +327,4 @@ class TestConstantWeights:
     def test_fills_constants(self):
         pw = constant_weights(3, 0.1, 0.2, tau=0.5)
         assert np.all(pw.w == 0.1) and np.all(pw.W == 0.2)
-        assert pw.tau == 0.5 and pw.mode == "constant"
+        assert pw.tau == 0.5

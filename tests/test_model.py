@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet import (EventData, ModelParams, branching_matrix, intensity_at,
-                       intensity_trace, mean_stationary_intensity,
-                       spectral_radius)
+                       mean_stationary_intensity, spectral_radius)
 
 
 def one_node(mu=0.0, a=1.0, alpha=1.0):
@@ -75,11 +74,6 @@ class TestIntensity:
         more_a = intensity_at(one_node(mu=0.2, a=0.5 + bump), data, 0, 6.0)
         assert more_mu >= base
         assert more_a >= base
-
-    def test_trace_nonnegative(self):
-        data = EventData(10.0, (np.array([1.0, 2.0]),))
-        tr = intensity_trace(one_node(mu=0.1), data, 0, np.linspace(0, 10, 20))
-        assert np.all(tr.values >= 0)
 
 
 class TestBranching:

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from hawkesnet import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 from hawkesnet.features import constant_weights
-from hawkesnet.penalty import numerical_rank
 
 
 def l1_objective(x, v, w, step):
@@ -109,13 +108,3 @@ class TestProxTrace:
         sx = np.linalg.svd(prox_trace(V, tau), compute_uv=False)
         assert np.all(sx <= sv + 1e-12)
         assert sx == pytest.approx(np.maximum(sv - tau, 0.0), abs=1e-10)
-
-
-class TestNumericalRank:
-    def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
-
-    def test_low_rank(self):
-        u = np.arange(1.0, 4.0)
-        assert numerical_rank(np.outer(u, u)) == 1
-        assert numerical_rank(np.eye(3)) == 3

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hawkesnet import (CVResult, EventData, FitConfig, ModelParams, SimConfig,
-                       build_loglik_cache, cross_validate, fit_hawkes,
-                       pen_value, prox_l1_nonneg, simulate)
+from hawkesnet import (CVResult, EventData, FitConfig, ModelParams,
+                       PenaltyWeights, ScenarioConfig, SimConfig,
+                       build_loglik_cache, compute_stats, cross_validate,
+                       fit_hawkes, generate_scenario, pen_value,
+                       practical_weights, simulate)
 from hawkesnet import solver
 from hawkesnet.features import constant_weights
 from hawkesnet.solver import (LineSearchError, _make_loss_oracle, _solve,
@@ -12,13 +14,7 @@ from tests.conftest import random_instance
 
 
 def zero_weights(d):
-    w = constant_weights(d, 1.0, 1.0)
-    return type(w)(w=np.zeros(d), W=np.zeros((d, d)), tau=0.0, x=0.0,
-                   mode="constant")
-
-
-def nopen_config(d, **kw):
-    return FitConfig(penalty=zero_weights(d), **kw)
+    return PenaltyWeights(w=np.zeros(d), W=np.zeros((d, d)), tau=0.0)
 
 
 class TestFitFista:
@@ -28,11 +24,9 @@ class TestFitFista:
         params = ModelParams(mu=[0.4, 0.7], A=np.zeros((2, 2)),
                              alpha=np.ones((2, 2)))
         data = simulate(SimConfig(params=params, horizon_T=100.0, seed=2))
-        w = constant_weights(2, 1.0, 1e6)
-        pinned = type(w)(w=np.zeros(2), W=w.W, tau=0.0, x=0.0,
-                         mode="constant")
-        cfg = FitConfig(penalty=pinned, max_iter=200, tol=1e-14)
-        res = fit_hawkes(data, params.alpha, cfg)
+        pinned = PenaltyWeights(w=np.zeros(2), W=np.full((2, 2), 1e6), tau=0.0)
+        cfg = FitConfig(max_iter=200, tol=1e-14)
+        res = fit_hawkes(data, params.alpha, pinned, cfg)
         assert np.all(res.A == 0.0)
         assert res.mu == pytest.approx(data.counts / 100.0, abs=1e-8)
         assert res.converged
@@ -40,19 +34,16 @@ class TestFitFista:
     def test_overpenalization_returns_zero(self):
         params, data = random_instance(1, d=2, horizon=50.0)
         big = constant_weights(2, 1e4, 1e4)
-        cfg = FitConfig(penalty=big, max_iter=50)
-        res = fit_hawkes(data, params.alpha, cfg)
+        res = fit_hawkes(data, params.alpha, big, FitConfig(max_iter=50))
         assert np.all(res.mu == 0.0)
         assert np.all(res.A == 0.0)
 
     def test_objective_trace_best_iterate(self):
         params, data = random_instance(2, d=2, horizon=60.0)
         w = constant_weights(2, 0.01, 0.01)
-        cfg = FitConfig(penalty=w, max_iter=80)
-        res = fit_hawkes(data, params.alpha, cfg)
+        res = fit_hawkes(data, params.alpha, w, FitConfig(max_iter=80))
         smooth = _make_loss_oracle(data, params.alpha, "least-squares")
-        final_obj = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A,
-                                                         cfg.penalty)
+        final_obj = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
         assert final_obj <= min(res.objective_trace) + 1e-12
 
     def test_sufficient_decrease_on_accepted_steps(self):
@@ -67,35 +58,21 @@ class TestFitFista:
             accepted.append((mu.copy(), A.copy(), out[0]))
             return out
 
-        def prox(vm, vA, step):
-            return (prox_l1_nonneg(vm, w.w, step),
-                    prox_l1_nonneg(vA, w.W, step))
-
-        def pen(mu, A):
-            return pen_value(mu, A, w)
-
-        cfg = FitConfig(penalty=w, max_iter=40)
-        res = fit_fista(checked_smooth, prox, pen, np.zeros(2),
-                        np.zeros((2, 2)), cfg)
+        res = fit_fista(checked_smooth, w, np.zeros(2), np.zeros((2, 2)),
+                        FitConfig(max_iter=40))
         assert res.sufficient_decrease_ok
         assert res.iterations_used >= 1
 
-    def test_wrong_prox_fails_sufficient_decrease(self):
+    def test_wrong_prox_fails_sufficient_decrease(self, monkeypatch):
         # the prox of the nonnegativity constraint alone ignores the l1
         # penalty, so the first step from x0 = 0 raises the objective
         params, data = random_instance(3, d=2, horizon=60.0)
         w = constant_weights(2, 10.0, 10.0)
         smooth = _make_loss_oracle(data, params.alpha, "least-squares")
-
-        def wrong_prox(vm, vA, step):
-            return np.maximum(vm, 0.0), np.maximum(vA, 0.0)
-
-        def pen(mu, A):
-            return pen_value(mu, A, w)
-
-        cfg = FitConfig(penalty=w, max_iter=5)
-        res = fit_fista(smooth, wrong_prox, pen, np.zeros(2),
-                        np.zeros((2, 2)), cfg)
+        monkeypatch.setattr(solver, "prox_l1_nonneg",
+                            lambda v, weights, step: np.maximum(v, 0.0))
+        res = fit_fista(smooth, w, np.zeros(2), np.zeros((2, 2)),
+                        FitConfig(max_iter=5))
         assert not res.sufficient_decrease_ok
         assert res.as_dict()["sufficient_decrease_ok"] is False
 
@@ -108,8 +85,8 @@ class TestFitFista:
                                  alpha=np.ones((2, 2)))
             data = simulate(SimConfig(params=params, horizon_T=5000.0,
                                       seed=seed))
-            cfg = nopen_config(2, max_iter=400, tol=1e-12)
-            res = fit_hawkes(data, params.alpha, cfg)
+            res = fit_hawkes(data, params.alpha, zero_weights(2),
+                             FitConfig(max_iter=400, tol=1e-12))
             num = (np.sum((res.mu - params.mu) ** 2)
                    + np.sum((res.A - params.A) ** 2))
             den = np.sum(params.mu ** 2) + np.sum(params.A ** 2)
@@ -118,21 +95,29 @@ class TestFitFista:
 
     def test_loglik_loss_runs_and_matches_ls_roughly(self):
         params, data = random_instance(5, d=2, horizon=200.0)
-        res_ls = fit_hawkes(data, params.alpha,
-                            nopen_config(2, max_iter=300, tol=1e-12))
-        res_ll = fit_hawkes(data, params.alpha,
-                            nopen_config(2, max_iter=300, tol=1e-12,
-                                         loss_kind="log-likelihood"))
+        res_ls = fit_hawkes(data, params.alpha, zero_weights(2),
+                            FitConfig(max_iter=300, tol=1e-12))
+        res_ll = fit_hawkes(data, params.alpha, zero_weights(2),
+                            FitConfig(max_iter=300, tol=1e-12,
+                                      loss_kind="log-likelihood"))
         assert np.all(res_ll.mu >= 0) and np.all(res_ll.A >= 0)
         # both estimate the same ground truth; agreement is loose
         assert res_ll.mu == pytest.approx(res_ls.mu, abs=0.3)
 
     def test_infeasible_start_raises(self):
         params, data = random_instance(6, d=2, horizon=30.0)
-        cfg = nopen_config(2, loss_kind="log-likelihood")
+        cfg = FitConfig(loss_kind="log-likelihood")
         smooth = _make_loss_oracle(data, params.alpha, cfg.loss_kind)
         with pytest.raises(LineSearchError):
-            _solve(smooth, np.zeros(2), np.zeros((2, 2)), cfg)
+            _solve(smooth, zero_weights(2), np.zeros(2), np.zeros((2, 2)),
+                   cfg)
+
+    def test_rejects_trace_norm(self):
+        params, data = random_instance(6, d=2, horizon=30.0)
+        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        with pytest.raises(ValueError):
+            fit_fista(smooth, constant_weights(2, 0.1, 0.1, tau=0.1),
+                      np.zeros(2), np.zeros((2, 2)), FitConfig())
 
 
 class TestFitPrisma:
@@ -140,10 +125,9 @@ class TestFitPrisma:
         params, data = random_instance(7, d=2, horizon=80.0)
         w = constant_weights(2, 0.01, 0.01, tau=0.0)
         smooth = _make_loss_oracle(data, params.alpha, "least-squares")
-        cfg = FitConfig(penalty=w, max_iter=300, tol=1e-12)
+        cfg = FitConfig(max_iter=300, tol=1e-12)
         res_p = fit_prisma(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
-        res_f = fit_hawkes(data, params.alpha,
-                           FitConfig(penalty=w, max_iter=300, tol=1e-12))
+        res_f = fit_hawkes(data, params.alpha, w, cfg)
         obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A, w)
         obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A, w)
         assert obj_p == pytest.approx(obj_f, rel=1e-4, abs=1e-8)
@@ -151,45 +135,81 @@ class TestFitPrisma:
     def test_mixed_penalty_nonnegative_output(self):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        res = fit_hawkes(data, params.alpha,
-                         FitConfig(penalty=w, max_iter=100))
+        res = fit_hawkes(data, params.alpha, w, FitConfig(max_iter=100))
         assert res.solver == "prisma"
         assert np.all(res.A >= 0) and np.all(res.mu >= 0)
 
     def test_sufficient_decrease_computed(self, monkeypatch):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        cfg = FitConfig(penalty=w, max_iter=50)
-        assert fit_hawkes(data, params.alpha, cfg).sufficient_decrease_ok
+        assert fit_hawkes(data, params.alpha, w,
+                          FitConfig(max_iter=50)).sufficient_decrease_ok
         # an l1 prox that ignores its weights lets the l1 term grow
         monkeypatch.setattr(solver, "prox_l1_nonneg",
                             lambda v, weights, step: np.maximum(v, 0.0))
-        big = FitConfig(penalty=constant_weights(3, 10.0, 10.0, tau=0.05),
-                        max_iter=5)
-        res = fit_hawkes(data, params.alpha, big)
+        res = fit_hawkes(data, params.alpha,
+                         constant_weights(3, 10.0, 10.0, tau=0.05),
+                         FitConfig(max_iter=5))
         assert res.solver == "prisma"
         assert not res.sufficient_decrease_ok
 
     def test_large_tau_drops_rank(self):
         params, data = random_instance(10, d=3, horizon=80.0)
-        small = fit_hawkes(data, params.alpha, FitConfig(
-            penalty=constant_weights(3, 0.001, 0.001, tau=1e-6), max_iter=200))
-        big = fit_hawkes(data, params.alpha, FitConfig(
-            penalty=constant_weights(3, 0.001, 0.001, tau=10.0), max_iter=200))
+        cfg = FitConfig(max_iter=200)
+        small = fit_hawkes(data, params.alpha,
+                           constant_weights(3, 0.001, 0.001, tau=1e-6), cfg)
+        big = fit_hawkes(data, params.alpha,
+                         constant_weights(3, 0.001, 0.001, tau=10.0), cfg)
         s_small = np.linalg.svd(small.A, compute_uv=False).sum()
         s_big = np.linalg.svd(big.A, compute_uv=False).sum()
         assert s_big <= s_small + 1e-10
 
 
+class TestReportedFields:
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    def test_final_step_is_last_accepted_step(self, tau, monkeypatch):
+        # an unconverged fit reports the step _backtrack accepted last,
+        # not that step grown for an iteration that never ran
+        params, data = random_instance(8, d=3, horizon=60.0)
+        accepted = []
+        backtrack = solver._backtrack
+
+        def recorded(*args):
+            out = backtrack(*args)
+            accepted.append(out[3])
+            return out
+
+        monkeypatch.setattr(solver, "_backtrack", recorded)
+        res = fit_hawkes(data, params.alpha,
+                         constant_weights(3, 0.01, 0.01, tau=tau),
+                         FitConfig(max_iter=5, tol=1e-15))
+        assert not res.converged
+        assert len(accepted) == res.iterations_used == 5
+        assert res.final_step == accepted[-1]
+        assert res.as_dict()["final_step"] == accepted[-1]
+
+    def test_final_objective_is_that_of_the_estimate(self):
+        # on this instance the last iterate lies about 5e-8 above the best,
+        # which is the estimate the fit returns
+        params, _ = generate_scenario(ScenarioConfig(d=30, seed=42))
+        data = simulate(SimConfig(params=params, horizon_T=500.0, seed=3))
+        w = practical_weights(compute_stats(data, params.alpha), 1.0, 1.0)
+        res = fit_hawkes(data, params.alpha, w)
+        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        estimate = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
+        assert res.objective_trace[-1] > estimate
+        assert res.as_dict()["final_objective"] == pytest.approx(estimate,
+                                                                 rel=1e-12)
+
+
 class TestFitConfigValidation:
     def test_bad_values(self):
-        zero = zero_weights(1)
         with pytest.raises(ValueError):
-            FitConfig(penalty=zero, max_iter=0)
+            FitConfig(max_iter=0)
         with pytest.raises(ValueError):
-            FitConfig(penalty=zero, tol=0.0)
+            FitConfig(tol=0.0)
         with pytest.raises(ValueError):
-            FitConfig(penalty=zero, loss_kind="huber")
+            FitConfig(loss_kind="huber")
 
 
 class TestHeldoutLoglik:
@@ -213,7 +233,7 @@ class TestHeldoutLoglik:
 class TestCrossValidate:
     def test_single_point_grid(self):
         params, data = random_instance(11, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
+        cfg = FitConfig(max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                             weighting="practical")
         assert isinstance(cv, CVResult)
@@ -223,20 +243,20 @@ class TestCrossValidate:
     def test_rejects_degenerate_penalty_vs_reasonable(self):
         # grid {tiny, huge}: huge forces theta = 0 which scores worse
         params, data = random_instance(12, d=2, horizon=120.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
+        cfg = FitConfig(max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5, 1e6), (0.5, 1e6),
                             weighting="practical")
         assert cv.best[0] == 0.5 and cv.best[1] == 0.5
 
     def test_empty_grid_rejected(self):
         params, data = random_instance(13, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01))
+        cfg = FitConfig()
         with pytest.raises(ValueError):
             cross_validate(data, params.alpha, cfg, (), (0.5,))
 
     def test_constant_weighting_mode(self):
         params, data = random_instance(14, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=60)
+        cfg = FitConfig(max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
                             (0.01, 0.03), weighting="constant")
         assert cv.best[0] in (0.01, 0.03)
@@ -258,7 +278,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(solver, "build_loglik_cache", counted_cache)
         monkeypatch.setattr(solver, "compute_stats", no_stats)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01), max_iter=20)
+        cfg = FitConfig(max_iter=20)
         cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
                             (0.01, 0.03), weighting="constant")
         assert len(cv.scores) == 4
@@ -266,15 +286,14 @@ class TestCrossValidate:
 
     def test_unknown_weighting_rejected(self):
         params, data = random_instance(14, d=2, horizon=60.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01))
+        cfg = FitConfig()
         with pytest.raises(ValueError):
             cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                            weighting="theoretical")
 
     def test_tau_grid_with_trace(self):
         params, data = random_instance(15, d=2, horizon=80.0)
-        cfg = FitConfig(penalty=constant_weights(2, 0.01, 0.01, tau=0.01),
-                        max_iter=60)
+        cfg = FitConfig(max_iter=60)
         cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
                             tau_grid=(0.001, 0.1), weighting="practical")
         assert cv.best[2] in (0.001, 0.1)
