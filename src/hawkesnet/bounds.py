@@ -6,10 +6,11 @@ so the noise matrix
     Z[j, k](T) = sum over events t of node j of H[j, k](t-)
                  - int_0^T H[j, k](s) lambda_j(s) ds
 
-is computable in closed form via the same Gram integrals as the
-least-squares loss (no quadrature).  Each replication checks the observable
-deviation bounds; empirical violation rates are compared against the
-stated probability budgets with Wilson confidence intervals.
+is computable in closed form: it is -(T/2) times the least-squares
+gradient in A at the true parameters (no quadrature).  Each replication
+checks the observable deviation bounds; empirical violation rates are
+compared against the stated probability budgets with Wilson confidence
+intervals.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .features import TAU_LIN_A, TAU_LIN_B, W_A_LIN, FeatureStats, \
     compute_stats, iterated_log_A, iterated_log_opnorm, opnorm_V1, opnorm_V2
-from .loss import precompute_gram
+from .loss import least_squares, precompute_gram
 from .model import EventData, ModelParams
 from .simulate import simulate_replication
 
@@ -67,18 +68,16 @@ class BoundReport:
 def compute_noise(params_true: ModelParams, data: EventData) -> NoiseMatrices:
     """Exact compensated noise matrix and compensated counts.
 
-    The compensator integral int H[j, k] lambda_j ds expands into the same
-    psi / Gram integrals used by the least-squares loss, all closed form
-    for exponential kernels.
+    At the true parameters the least-squares gradient is the noise:
+    grad_A = -(2/T) Z and grad_mu = -(2/T) M_T, both closed form for
+    exponential kernels.
     """
-    gram = precompute_gram(data, params_true.alpha)
     T = data.horizon_T
-    mu, A = params_true.mu, params_true.A
-    GA = gram.apply(A)
-    Z = T * (gram.S - (mu[:, None] * gram.psi + GA))
-    M_T = gram.counts - T * (mu + np.einsum("jk,jk->j", A, gram.psi))
+    grad = least_squares(params_true.mu, params_true.A,
+                         precompute_gram(data, params_true.alpha))
+    Z = -(T / 2) * grad.grad_A
     opnorm_Z = float(np.linalg.norm(Z, 2)) if Z.size else 0.0
-    return NoiseMatrices(Z=Z, M_T=M_T, opnorm_Z=opnorm_Z)
+    return NoiseMatrices(Z=Z, M_T=-(T / 2) * grad.grad_mu, opnorm_Z=opnorm_Z)
 
 
 def pointwise_bound_rhs(stats: FeatureStats, x: float) -> np.ndarray:

@@ -23,16 +23,9 @@ from .experiment import PENALTIES, PROCEDURES, ExperimentConfig, \
 from .features import compute_stats, constant_weights, practical_weights, \
     theoretical_weights
 from .metrics import evaluate
-from .model import ModelParams
+from .model import ModelParams, branching_matrix, spectral_radius
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
-from .solver import FitConfig, cross_validate, fit_hawkes
-
-
-def _load_config_file(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            return json.load(f)
-    return {}
+from .solver import LOSS_KINDS, FitConfig, cross_validate, fit_hawkes
 
 
 def _write_params(params: ModelParams, out_dir: str, support=None) -> None:
@@ -45,39 +38,33 @@ def _write_params(params: ModelParams, out_dir: str, support=None) -> None:
                             os.path.join(out_dir, "support.csv"))
 
 
-def _scenario(cfg: dict, d, seed, alpha=1.0) -> ScenarioConfig:
-    """Scenario from JSON keys; d, seed and alpha are the defaults."""
-    boxes = cfg.get("box_ranges")
-    return ScenarioConfig(
-        d=cfg.get("d", d),
-        seed=cfg.get("seed", seed),
-        baseline_range=tuple(cfg.get("baseline_range", (0.0, 0.1))),
-        box_ranges=tuple(tuple(b) for b in boxes) if boxes else None,
-        box_value_range=tuple(cfg.get("box_value_range", (0.0, 0.2))),
-        target_opnorm=cfg.get("target_opnorm", 0.8),
-        alpha=cfg.get("alpha", alpha),
-    )
+#: the keys of the uniform model that ``simulate --config`` reads
+UNIFORM_KEYS = ("d", "mu", "a", "alpha", "T", "seed")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config_file(args)
-    if args.scenario or "box_ranges" in cfg:
-        params, support = generate_scenario(
-            _scenario(cfg, args.d, args.seed, args.alpha))
+    cfg = io.read_json(args.config) if args.config else {}
+    scenario_keys = [f.name for f in fields(ScenarioConfig)] + ["T"]
+    scenario = args.scenario or any(
+        k in cfg for k in scenario_keys if k not in UNIFORM_KEYS)
+    keys = scenario_keys if scenario else UNIFORM_KEYS
+    io.check_keys(cfg, keys, "scenario" if scenario else "uniform model")
+    # flags fill in the keys the file lacks
+    cfg = {**{k: getattr(args, k) for k in UNIFORM_KEYS if k in keys}, **cfg}
+    T = cfg.pop("T")
+    if scenario:
+        params, support = generate_scenario(io.from_json(ScenarioConfig, cfg))
     else:
-        d = cfg.get("d", args.d)
-        mu = np.full(d, cfg.get("mu", args.mu))
-        a = cfg.get("a", args.a)
+        d, a = cfg["d"], cfg["a"]
         A = np.full((d, d), a / d) if a > 0 else np.zeros((d, d))
-        alpha = np.full((d, d), cfg.get("alpha", args.alpha))
-        params, support = ModelParams(mu=mu, A=A, alpha=alpha), A > 0
-    from .model import branching_matrix, spectral_radius
+        params = ModelParams(mu=np.full(d, cfg["mu"]), A=A,
+                             alpha=np.full((d, d), cfg["alpha"]))
+        support = A > 0
     rho = spectral_radius(branching_matrix(params))
     if rho >= 1 and not args.allow_unstable:
         raise ValueError(
             f"spectral radius {rho:.3f} >= 1; pass --allow-unstable to proceed")
-    sim = SimConfig(params=params, horizon_T=cfg.get("T", args.T),
-                    seed=cfg.get("seed", args.seed),
+    sim = SimConfig(params=params, horizon_T=T, seed=cfg["seed"],
                     max_events=args.max_events)
     data = simulate(sim)
     io.write_events_json(data, args.out)
@@ -173,23 +160,13 @@ def cmd_weights(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    with open(args.config) as f:
-        cfg_json = json.load(f)
-    sc_json = cfg_json["scenario"]
-    grids = {name: tuple(cfg_json[name])
-             for name in (fd.name for fd in fields(ExperimentConfig))
-             if "grid" in name and name in cfg_json}
-    cfg = ExperimentConfig(
-        scenario=_scenario(sc_json, sc_json["d"], cfg_json.get("seed", 0)),
-        horizons=tuple(cfg_json["horizons"]),
-        n_replications=cfg_json["n_replications"],
-        seed=cfg_json.get("seed", 0),
-        procedures=tuple(cfg_json.get("procedures", PROCEDURES)),
-        loss_kind=cfg_json.get("loss_kind", "least-squares"),
-        max_iter=cfg_json.get("max_iter", 100),
-        jobs=args.jobs,
-        **grids,
-    )
+    cfg = io.read_json(args.config)
+    io.check_keys(cfg, [f.name for f in fields(ExperimentConfig)
+                        if f.name != "jobs"], "experiment config")
+    cfg.setdefault("seed", 0)
+    if isinstance(cfg.get("scenario"), dict):
+        cfg["scenario"] = {"seed": cfg["seed"], **cfg["scenario"]}
+    cfg = io.from_json(ExperimentConfig, {**cfg, "jobs": args.jobs})
     out_dir = io.ensure_dir(args.out_dir)
     rows = run_experiment(cfg)
     write_rows_csv(rows, os.path.join(out_dir, "results.csv"))
@@ -211,7 +188,7 @@ def cmd_check_bounds(args) -> int:
     if args.out:
         io.write_json(out, args.out)
     print(json.dumps(out))
-    return 0
+    return 0 if report.holds else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate events by Ogata thinning")
-    sim.add_argument("--config", help="JSON config file; a key in the file "
-                     "wins over its flag (d, mu, a, alpha, T, seed and the "
-                     "scenario keys)")
+    sim.add_argument("--config", help="JSON config file of the uniform "
+                     "model or the scenario; a key in the file wins over its "
+                     "flag and an unknown key is an error")
     sim.add_argument("--d", type=int, default=1)
     sim.add_argument("--mu", type=float, default=0.1)
     sim.add_argument("--a", type=float, default=0.0,
@@ -241,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a penalized Hawkes model")
     fit.add_argument("--events", required=True)
     fit.add_argument("--procedure", default="wL1",
-                     choices=["NoPen", "L1", "wL1", "L1Nuclear", "wL1Nuclear"])
-    fit.add_argument("--loss", default="least-squares",
-                     choices=["least-squares", "log-likelihood"])
+                     choices=PROCEDURES)
+    fit.add_argument("--loss", default="least-squares", choices=LOSS_KINDS)
     fit.add_argument("--alpha", type=float, default=1.0)
     fit.add_argument("--alpha-file", help="CSV matrix of per-pair decays")
     fit.add_argument("--c1", type=float, default=1.0)
@@ -266,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     xv = sub.add_parser("xval", help="cross-validate penalty constants")
     xv.add_argument("--events", required=True)
     xv.add_argument("--procedure", default="wL1",
-                    choices=["L1", "wL1", "L1Nuclear", "wL1Nuclear"])
-    xv.add_argument("--loss", default="least-squares",
-                    choices=["least-squares", "log-likelihood"])
+                    choices=list(PENALTIES))
+    xv.add_argument("--loss", default="least-squares", choices=LOSS_KINDS)
     xv.add_argument("--alpha", type=float, default=1.0)
     xv.add_argument("--c1-grid", type=float, nargs="+", default=[1.0, 3.0, 10.0])
     xv.add_argument("--c2-grid", type=float, nargs="+", default=[1.0, 3.0, 10.0])
@@ -298,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=cmd_experiment)
 
     cb = sub.add_parser("check-bounds",
-                        help="Monte Carlo validation of the deviation bounds")
+                        help="Monte Carlo validation of the deviation bounds; "
+                        "exits 1 when the bound does not hold")
     cb.add_argument("--which", required=True, choices=["pointwise", "opnorm"])
     cb.add_argument("--d", type=int, default=3)
     cb.add_argument("--T", type=float, default=200.0)

@@ -127,14 +127,12 @@ def left_limits_by_node(states, row_block) -> tuple:
 class FeatureStats:
     """Statistics of H over a window [0, T].
 
-    H_at_events[j] is an (n_j, d) array of left-limits H[j, :](t-) at the
-    events of node j.  B holds running suprema of H, Vhat / Vhat1 / Vhat2
-    the optional-variation estimates, sup_H_2inf the supremum over time of
-    the max row 2-norm of H.
+    B holds running suprema of H, Vhat / Vhat1 / Vhat2 the
+    optional-variation estimates, sup_H_2inf the supremum over time of the
+    max row 2-norm of H.
     """
 
     horizon_T: float
-    H_at_events: tuple
     B: np.ndarray
     Vhat: np.ndarray
     Vhat1: np.ndarray
@@ -157,7 +155,7 @@ class PenaltyWeights:
 
 
 def compute_stats(data, alpha) -> FeatureStats:
-    """H left-limits, B, Vhat, Vhat1, Vhat2 and sup_H_2inf from the states."""
+    """B, Vhat, Vhat1, Vhat2 and sup_H_2inf from the states."""
     d, T = data.d, data.horizon_T
     states, row_block = block_states(data, alpha)
     H = left_limits_by_node(states, row_block)
@@ -178,7 +176,6 @@ def compute_stats(data, alpha) -> FeatureStats:
                   for s in states)
     return FeatureStats(
         horizon_T=T,
-        H_at_events=H,
         B=B[row_block],
         Vhat=np.array([np.sum(h * h, axis=0) for h in H]) / T,
         Vhat1=np.bincount(nodes, weights=h2inf_sq, minlength=d) / T,

@@ -42,22 +42,12 @@ def relative_error(mu_hat, A_hat, mu_true, A_true) -> float:
     return float(np.sum(diff * diff)) / denom
 
 
-def minmax_scale(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    lo, hi = A.min(), A.max()
-    if hi == lo:
-        return np.zeros_like(A)
-    return (A - lo) / (hi - lo)
-
-
 def auc_score(A_hat, support_true) -> float:
     """Mann-Whitney AUC of the estimated entries against the true support.
 
-    Entries are min-max scaled to [0, 1] first (rank-preserving, so the
-    AUC is unaffected); ties get 1/2 credit.  A constant estimate scores
-    0.5 by convention.
+    Ties get 1/2 credit, so a constant estimate scores 0.5.
     """
-    scores = minmax_scale(A_hat).ravel()
+    scores = np.asarray(A_hat, dtype=float).ravel()
     labels = np.asarray(support_true, dtype=bool).ravel()
     if scores.shape != labels.shape:
         raise ValueError("shape mismatch between estimate and support")
@@ -70,12 +60,11 @@ def auc_score(A_hat, support_true) -> float:
     return float(auc)
 
 
-def evaluate(mu_hat, A_hat, mu_true, A_true, support_true,
-             threshold: float = 0.0) -> EvalReport:
+def evaluate(mu_hat, A_hat, mu_true, A_true, support_true) -> EvalReport:
     A_hat = np.asarray(A_hat, dtype=float)
     return EvalReport(
         rel_l2_error=relative_error(mu_hat, A_hat, mu_true, A_true),
         auc=auc_score(A_hat, support_true),
         support_size_true=int(np.asarray(support_true, dtype=bool).sum()),
-        support_size_est_at_threshold=int((A_hat > threshold).sum()),
+        support_size_est_at_threshold=int((A_hat > 0).sum()),
     )

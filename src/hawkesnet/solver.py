@@ -29,11 +29,13 @@ from .penalty import pen_value, prox_l1_nonneg, prox_trace
 STEP0, SHRINK, GROWTH = 1.0, 0.5, 2.0
 #: PRISMA smooths the trace norm with beta_k = PRISMA_BETA0 / k
 PRISMA_BETA0 = 1.0
+#: the values of ``FitConfig.loss_kind``
+LOSS_KINDS = ("least-squares", "log-likelihood")
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    loss_kind: str = "least-squares"  # or "log-likelihood"
+    loss_kind: str = "least-squares"
     max_iter: int = 100
     tol: float = 1e-7
 
@@ -42,7 +44,7 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.loss_kind not in ("least-squares", "log-likelihood"):
+        if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
 
 

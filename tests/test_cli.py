@@ -1,11 +1,16 @@
 import json
 import os
+import pathlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from hawkesnet import ExperimentConfig, ScenarioConfig, generate_scenario
 from hawkesnet.cli import main
 from hawkesnet.io import read_events, read_matrix_csv, read_vector
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +67,42 @@ class TestSimulate:
         assert code == 0, err
         data = read_events(out_path)
         assert (data.d, data.horizon_T) == (4, 30.0)
+
+    def test_scenario_only_key_selects_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"baseline_range": [0.5, 0.6]}))
+        truth = str(tmp_path / "truth")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--d", "6", "--T", "20", "--seed", "3",
+                               "--out", str(tmp_path / "e.json"),
+                               "--params-out", truth)
+        assert code == 0, err
+        params, _ = generate_scenario(
+            ScenarioConfig(d=6, seed=3, baseline_range=(0.5, 0.6)))
+        assert np.array_equal(read_vector(os.path.join(truth, "mu.csv")),
+                              params.mu)
+        assert np.array_equal(read_matrix_csv(os.path.join(truth, "A.csv")),
+                              params.A)
+
+    @pytest.mark.parametrize("cfg, scenario", [
+        ({"d": 3, "baseline_range": [0.5, 0.6], "T_horizon": 50}, False),
+        ({"d": 3, "T_horizon": 50}, False),
+        ({"d": 3, "mu": 0.2}, True),
+    ])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, cfg,
+                                         scenario):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "e.json"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--out", str(out_path),
+                                 *(["--scenario"] if scenario else []))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        bad = "mu" if scenario else "T_horizon"
+        assert repr(bad) in payload["message"]
+        assert not out_path.exists()
 
     def test_unstable_rejected(self, tmp_path, capsys):
         out_path = str(tmp_path / "u.json")
@@ -249,6 +290,24 @@ class TestCheckBounds:
         assert code == 0
         assert json.loads(stdout)["bound_id"] == "operator-norm"
 
+    def test_exits_1_when_bound_fails(self, tmp_path, capsys, monkeypatch):
+        import hawkesnet.cli as cli
+        from hawkesnet.bounds import BoundReport
+
+        def failing(params, T, x, reps, seed):
+            return BoundReport(bound_id="pointwise", x=x, n_reps=reps,
+                               violation_count=reps, stated_bound=0.01,
+                               empirical_rate=1.0, wilson_ci=(0.9, 1.0))
+
+        monkeypatch.setattr(cli, "check_pointwise_bound", failing)
+        out = tmp_path / "b.json"
+        code, stdout, _ = run_cli(capsys, "check-bounds", "--which",
+                                  "pointwise", "--reps", "20",
+                                  "--out", str(out))
+        assert code == 1
+        assert json.loads(stdout)["holds"] is False
+        assert json.loads(out.read_text())["violation_count"] == 20
+
 
 EXP_CONFIG = {
     "scenario": {"d": 6, "seed": 4},
@@ -294,6 +353,86 @@ class TestExperiment:
         a = open(os.path.join(d1, "results.csv"), "rb").read()
         b = open(os.path.join(d2, "results.csv"), "rb").read()
         assert a == b
+
+
+class TestExperimentConfig:
+    def _run(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path),
+                                 "--out-dir", str(out_dir))
+        return code, out, err, out_dir
+
+    def test_misspelt_keys_rejected(self, tmp_path, capsys):
+        code, out, err, out_dir = self._run(tmp_path, capsys, {
+            "scenario": {"d": 6, "seed": 4}, "horizons": [60.0],
+            "n_replications": 1, "seed": 9, "c1_grid_weigthed": [1.0],
+            "max_iters": 5})
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "'c1_grid_weigthed'" in payload["message"]
+        assert "'max_iters'" in payload["message"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {**EXP_CONFIG, "jobs": 2},
+        {**EXP_CONFIG, "scenario": {"d": 6, "seed": 4, "T": 60.0}},
+    ])
+    def test_jobs_and_nested_keys_rejected(self, tmp_path, capsys, cfg):
+        code, out, err, out_dir = self._run(tmp_path, capsys, cfg)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+        assert not out_dir.exists()
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The ExperimentConfig the command passes to run_experiment."""
+        import hawkesnet.cli as cli
+        configs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: configs.append(cfg) or [])
+        return configs
+
+    def test_study_d30_is_criterion_8(self, tmp_path, capsys, built):
+        code, _, err = run_cli(capsys, "experiment", "--config",
+                               str(CONFIGS / "study_d30.json"),
+                               "--out-dir", str(tmp_path), "--jobs", "3")
+        assert code == 0, err
+        (cfg,) = built
+        criterion_8 = ExperimentConfig(
+            scenario=ScenarioConfig(d=30, seed=42),
+            horizons=(250.0, 500.0, 1000.0), n_replications=10, seed=7,
+            jobs=4)
+        for f in fields(ExperimentConfig):
+            if f.name != "jobs":
+                assert getattr(cfg, f.name) == getattr(criterion_8, f.name)
+        assert cfg.jobs == 3
+
+    def test_study_d100_builds(self, tmp_path, capsys, built):
+        code, _, err = run_cli(capsys, "experiment", "--config",
+                               str(CONFIGS / "study_d100.json"),
+                               "--out-dir", str(tmp_path))
+        assert code == 0, err
+        (cfg,) = built
+        assert (cfg.scenario.d, cfg.scenario.seed) == (100, 42)
+        assert cfg.horizons == (500.0, 1000.0, 2000.0, 5000.0)
+        assert (cfg.n_replications, cfg.seed, cfg.jobs) == (10, 7, 1)
+
+    @pytest.mark.parametrize("cfg, seeds", [
+        ({"scenario": {"d": 6}, "horizons": [60.0], "n_replications": 1},
+         (0, 0)),
+        ({"scenario": {"d": 6}, "horizons": [60.0], "n_replications": 1,
+          "seed": 9}, (9, 9)),
+        ({"scenario": {"d": 6, "seed": 4}, "horizons": [60.0],
+          "n_replications": 1}, (0, 4)),
+    ])
+    def test_seed_defaults(self, tmp_path, capsys, built, cfg, seeds):
+        code, _, err, _ = self._run(tmp_path, capsys, cfg)
+        assert code == 0, err
+        (built_cfg,) = built
+        assert (built_cfg.seed, built_cfg.scenario.seed) == seeds
 
 
 class TestErrors:

@@ -53,7 +53,6 @@ def stats_with_counts(counts, d, T):
     counts = np.asarray(counts)
     return FeatureStats(
         horizon_T=T,
-        H_at_events=tuple(np.zeros((n, d)) for n in counts),
         B=np.zeros((d, d)),
         Vhat=np.zeros((d, d)),
         Vhat1=np.zeros(d),
@@ -80,7 +79,8 @@ class TestComputeStats:
         assert st.Vhat[0, 0] == pytest.approx(0.12952, abs=5e-6)
         # running sup is attained just after the last event
         assert st.B[0, 0] == pytest.approx(1 + e1 + e2, rel=1e-12)
-        h_left = st.H_at_events[0][:, 0]
+        cache = build_loglik_cache(data, np.ones((1, 1)))
+        h_left = cache.H_at_events[0][:, 0]
         assert h_left == pytest.approx([0.0, e1, e2 + e1], rel=1e-12)
 
     def test_d1_collapse(self):
@@ -93,6 +93,7 @@ class TestComputeStats:
     def test_matches_naive_double_sum(self, seed):
         params, data = random_instance(seed, d=3, horizon=20.0)
         st = compute_stats(data, params.alpha)
+        cache = build_loglik_cache(data, params.alpha)
         V, V1, V2, B, sup = naive_stats(data, params.alpha)
         assert st.Vhat == pytest.approx(V, rel=1e-10, abs=1e-12)
         assert st.Vhat1 == pytest.approx(V1, rel=1e-10, abs=1e-12)
@@ -101,7 +102,7 @@ class TestComputeStats:
         assert st.sup_H_2inf == pytest.approx(sup, rel=1e-10)
         for j in range(3):
             for i, t in enumerate(data.events[j]):
-                assert st.H_at_events[j][i] == pytest.approx(
+                assert cache.H_at_events[j][i] == pytest.approx(
                     naive_H(data, params.alpha, t)[j], rel=1e-10, abs=1e-12)
 
     def test_B_monotone_under_added_events(self):
@@ -154,8 +155,6 @@ class TestUniformDecaySweep:
         for j in range(d):
             left = np.array([naive_H(data, alpha, t)[j]
                              for t in data.events[j]]).reshape(-1, d)
-            assert stats.H_at_events[j] == pytest.approx(left, rel=1e-10,
-                                                         abs=1e-12)
             assert cache.H_at_events[j] == pytest.approx(left, rel=1e-10,
                                                          abs=1e-12)
             assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-10,
@@ -204,8 +203,9 @@ class TestSimultaneousEvents:
     def test_two_nodes_one_timestamp(self):
         data = EventData(3.0, (np.array([1.0]), np.array([1.0])))
         stats = compute_stats(data, np.ones((2, 2)))
-        assert np.all(stats.H_at_events[0] == 0)
-        assert np.all(stats.H_at_events[1] == 0)
+        cache = build_loglik_cache(data, np.ones((2, 2)))
+        assert np.all(cache.H_at_events[0] == 0)
+        assert np.all(cache.H_at_events[1] == 0)
         # the sup just after t = 1 counts both events
         assert stats.sup_H_2inf == pytest.approx(math.sqrt(2), rel=1e-12)
 
@@ -234,13 +234,13 @@ class TestSimultaneousEvents:
         params = ModelParams(mu=rng.uniform(0.2, 0.5, d),
                              A=rng.uniform(0.0, 0.3, (d, d)),
                              alpha=rng.uniform(0.5, 2.0, (d, d)))
-        stats = compute_stats(data, params.alpha)
+        cache = build_loglik_cache(data, params.alpha)
         g = precompute_gram(data, params.alpha)
         logs = 0.0
         for j in range(d):
             left = np.array([naive_H(data, params.alpha, t)[j]
                              for t in data.events[j]])
-            assert stats.H_at_events[j] == pytest.approx(left, rel=1e-12,
+            assert cache.H_at_events[j] == pytest.approx(left, rel=1e-12,
                                                          abs=1e-14)
             assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-12)
             lam = np.array([intensity_at(params, data, j, t)
@@ -252,8 +252,7 @@ class TestSimultaneousEvents:
             params.A[j, k] * np.sum(-np.expm1(-params.alpha[j, k]
                                               * (T - data.events[k])))
             / params.alpha[j, k] for j in range(d) for k in range(d))
-        nll = neg_log_likelihood_cached(
-            params.mu, params.A, build_loglik_cache(data, params.alpha))
+        nll = neg_log_likelihood_cached(params.mu, params.A, cache)
         assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
 
 

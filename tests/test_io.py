@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hawkesnet import EventData
-from hawkesnet.io import (read_events, read_matrix_csv, read_vector,
-                          write_events_json, write_matrix_csv, write_vector)
+from hawkesnet import EventData, ExperimentConfig, ScenarioConfig
+from hawkesnet.io import (from_json, read_events, read_matrix_csv,
+                          read_vector, write_events_json, write_matrix_csv,
+                          write_vector)
 
 
 class TestEventsJson:
@@ -70,3 +71,33 @@ class TestMatrixVector:
         path = str(tmp_path / "v1.csv")
         write_vector(np.array([0.5]), path)
         assert read_vector(path).shape == (1,)
+
+
+class TestFromJson:
+    def test_lists_become_tuples_and_nested_dataclasses_build(self):
+        cfg = from_json(ExperimentConfig, {
+            "scenario": {"d": 6, "seed": 1, "box_ranges": [[1, 3], [2, 6]],
+                         "baseline_range": [0.1, 0.2]},
+            "horizons": [50.0, 100.0], "n_replications": 2, "seed": 3,
+            "procedures": ["NoPen"]})
+        assert cfg == ExperimentConfig(
+            scenario=ScenarioConfig(d=6, seed=1, box_ranges=((1, 3), (2, 6)),
+                                    baseline_range=(0.1, 0.2)),
+            horizons=(50.0, 100.0), n_replications=2, seed=3,
+            procedures=("NoPen",))
+        assert type(cfg.scenario.baseline_range) is tuple
+
+    @pytest.mark.parametrize("obj, name", [
+        ({"d": 3, "seed": 0, "alpah": 2.0}, "alpah"),
+        ({"d": 3, "seed": 0, "T": 10.0}, "T"),
+    ])
+    def test_unknown_key_named_with_fields(self, obj, name):
+        with pytest.raises(ValueError) as err:
+            from_json(ScenarioConfig, obj)
+        assert repr(name) in str(err.value)
+        assert "'target_opnorm'" in str(err.value)
+
+    def test_nested_object_required(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            from_json(ExperimentConfig, {"scenario": 30, "horizons": [1.0],
+                                         "n_replications": 1, "seed": 0})

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hawkesnet import auc_score, evaluate, relative_error
-from hawkesnet.metrics import minmax_scale
 
 
 class TestRelativeError:
@@ -86,15 +85,6 @@ class TestAucScore:
         if not (sup.any() and (~sup).any()):
             sup[0, 0], sup[2, 2] = True, False
         assert auc_score(A, sup) + auc_score(-A, sup) == pytest.approx(1.0)
-
-
-class TestMinmaxScale:
-    def test_range(self):
-        x = minmax_scale(np.array([[1.0, 3.0], [2.0, 5.0]]))
-        assert x.min() == 0.0 and x.max() == 1.0
-
-    def test_constant_input(self):
-        assert np.all(minmax_scale(np.full((2, 2), 3.0)) == 0.0)
 
 
 class TestEvaluate:
