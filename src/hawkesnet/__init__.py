@@ -4,12 +4,10 @@ from .model import (EventData, ModelParams, branching_matrix, intensity_at,
                     mean_stationary_intensity, spectral_radius)
 from .simulate import (ScenarioConfig, SimConfig, generate_scenario,
                        scaled_box_ranges, simulate, simulate_replication)
-from .features import (FeatureStats, PenaltyWeights, compute_stats,
+from .features import (PenaltyWeights, Window, compute_stats,
                        constant_weights, practical_weights,
                        theoretical_weights)
-from .loss import (LogLikCache, LossValueGrad, PrecomputedGram,
-                   build_loglik_cache, least_squares,
-                   neg_log_likelihood_cached, precompute_gram)
+from .loss import LossValueGrad, least_squares, neg_log_likelihood_cached
 from .penalty import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 from .solver import (CVResult, FitConfig, FitResult, cross_validate,
                      fit_fista, fit_hawkes, fit_prisma)

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .features import constant_weights
+from .features import compute_stats, constant_weights
 from .metrics import evaluate
 from .simulate import ScenarioConfig, generate_scenario, simulate_replication
 from .solver import FitConfig, cross_validate, fit_hawkes
@@ -53,10 +53,16 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # FitConfig rejects an unknown loss_kind and max_iter < 1
+        FitConfig(loss_kind=self.loss_kind, max_iter=self.max_iter)
         if not self.procedures:
             raise ValueError("procedures must be nonempty")
+        if not self.horizons or min(self.horizons) <= 0:
+            raise ValueError("horizons must be nonempty and positive")
         if list(self.horizons) != sorted(self.horizons):
             raise ValueError("horizons must be increasing")
+        if self.n_replications < 1:
+            raise ValueError("n_replications must be >= 1")
         for p in self.procedures:
             if p not in PROCEDURES:
                 raise ValueError(f"unknown procedure {p!r}")
@@ -76,7 +82,7 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
             if procedure == "NoPen":
-                result = fit_hawkes(data, alpha,
+                result = fit_hawkes(compute_stats(data, alpha),
                                     constant_weights(params.d, 0.0, 0.0),
                                     fit_cfg)
                 c1 = c2 = tau = 0.0

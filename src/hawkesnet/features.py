@@ -7,14 +7,18 @@ All statistics are built from the matrix-valued process
 which is left-continuous (every event at exactly t excluded) and decays
 between events.  Rows of H with equal decay rows alpha[j, :] are equal, so
 ``excitation_states`` runs the exponential recursion (Ozaki 1979) once per
-distinct decay row, O(N * d) for N merged events, and everything here and
-in ``loss`` is array algebra over its N x d states.  A uniform alpha has
-one distinct row: O(N * d) time and O(d^2) memory beyond the states.
+distinct decay row, O(N * d) for N merged events.  ``compute_stats`` makes
+that one sweep per observation window and reduces its N x d states to a
+frozen ``Window``: the Gram integrals and event left limits both losses
+read, and the suprema and variation estimates the weights and the bounds
+read.  A uniform alpha has one distinct row: O(N * d) time and O(d^2)
+memory beyond the states and the left limits.
 
 ``PenaltyWeights`` (w, W, tau) is the whole penalty,
 w . |mu| + W . |A| + tau * ||A||_*, and the argument that
-``solver.fit_hawkes`` takes.  Theoretical, practical and constant
-weighting differ only in how they compute it.
+``solver.fit_hawkes`` takes with the window.  Theoretical, practical and
+constant weighting differ only in how they compute it; constant weights
+ignore the window's statistics.
 """
 
 from __future__ import annotations
@@ -117,32 +121,58 @@ def block_states(data, alpha):
     return [excitation_states(data, a) for a in rows], row_block.reshape(-1)
 
 
-def left_limits_by_node(states, row_block) -> tuple:
-    """(n_j, d) left limits H[j, :](t-) at the events of each node j."""
-    return tuple(states[b].left[states[b].nodes == j]
-                 for j, b in enumerate(row_block.tolist()))
-
-
 @dataclass(frozen=True)
-class FeatureStats:
-    """Statistics of H over a window [0, T].
+class Window:
+    """Everything the weights, the bounds and both losses read of H on [0, T].
 
-    B holds running suprema of H, Vhat / Vhat1 / Vhat2 the
-    optional-variation estimates, sup_H_2inf the supremum over time of the
-    max row 2-norm of H.
+    Rows j of H with equal decay rows alpha[j, :] are equal, so the Gram
+    integrals are kept once per distinct decay row: row j reads block
+    b = row_block[j], G[b] = (1/T) int_0^T H[j, :] H[j, :]^T dt, a single
+    (1, d, d) block when alpha is uniform.  int_H = int_0^T H dt, S[j] is
+    (1/T) times the sum of H[j, :](t-) over the events t of node j, and
+    H_at_events[j] holds those (n_j, d) left limits.  B holds the suprema
+    of H, Vhat / Vhat1 / Vhat2 the optional-variation estimates and
+    sup_H_2inf the supremum over time of the max row 2-norm of H.
     """
 
     horizon_T: float
+    counts: np.ndarray
+    row_block: np.ndarray
+    G: np.ndarray
+    int_H: np.ndarray
+    S: np.ndarray
+    H_at_events: tuple
     B: np.ndarray
     Vhat: np.ndarray
     Vhat1: np.ndarray
     Vhat2: np.ndarray
     sup_H_2inf: float
-    node_counts: np.ndarray
 
     @property
     def d(self) -> int:
-        return self.B.shape[0]
+        return self.counts.shape[0]
+
+    @property
+    def node_counts(self) -> np.ndarray:
+        """``counts``, under the name the counters of perfbench/ read."""
+        return self.counts
+
+    @property
+    def psi(self) -> np.ndarray:
+        """(1/T) int_0^T H dt."""
+        return self.int_H / self.horizon_T
+
+    def block(self, j: int) -> np.ndarray:
+        """The (d, d) Gram integrals of row j."""
+        return self.G[self.row_block[j]]
+
+    def apply(self, A) -> np.ndarray:
+        """Each row of A through its Gram block: out[j] = G_j @ A[j]."""
+        out = np.empty_like(A)
+        for b, G in enumerate(self.G):
+            rows = self.row_block == b
+            out[rows] = A[rows] @ G.T
+        return out
 
 
 @dataclass(frozen=True)
@@ -154,11 +184,12 @@ class PenaltyWeights:
     tau: float
 
 
-def compute_stats(data, alpha) -> FeatureStats:
-    """B, Vhat, Vhat1, Vhat2 and sup_H_2inf from the states."""
+def compute_stats(data, alpha) -> Window:
+    """The window of ``data``: one ``block_states`` sweep, then array algebra."""
     d, T = data.d, data.horizon_T
     states, row_block = block_states(data, alpha)
-    H = left_limits_by_node(states, row_block)
+    H = tuple(states[b].left[states[b].nodes == j]
+              for j, b in enumerate(row_block.tolist()))
     nodes = states[0].nodes
     idx = np.arange(nodes.size)
     # per event n and block b: H[j, l_n](t_n-) and |H[j, :](t_n-)|^2, j in b
@@ -174,14 +205,19 @@ def compute_stats(data, alpha) -> FeatureStats:
     B = np.stack([s.post.max(axis=0, initial=0.0) for s in states])
     post_sq = max(np.einsum("nk,nk->n", s.post, s.post).max(initial=0.0)
                   for s in states)
-    return FeatureStats(
+    return Window(
         horizon_T=T,
+        counts=data.counts,
+        row_block=row_block,
+        G=np.stack([s.gram() for s in states]) / T,
+        int_H=np.stack([s.integral() for s in states])[row_block],
+        S=np.array([h.sum(axis=0) for h in H]) / T,
+        H_at_events=H,
         B=B[row_block],
         Vhat=np.array([np.sum(h * h, axis=0) for h in H]) / T,
         Vhat1=np.bincount(nodes, weights=h2inf_sq, minlength=d) / T,
         Vhat2=Vhat2[np.ix_(row_block, row_block)] / T,
         sup_H_2inf=math.sqrt(post_sq),
-        node_counts=data.counts,
     )
 
 
@@ -208,17 +244,17 @@ def iterated_log_A(Vhat, B, x: float, T: float) -> np.ndarray:
     return out
 
 
-def opnorm_V1(stats: FeatureStats) -> float:
+def opnorm_V1(stats: Window) -> float:
     """Operator norm of the diagonal matrix Vhat1."""
     return float(stats.Vhat1.max()) if stats.Vhat1.size else 0.0
 
 
-def opnorm_V2(stats: FeatureStats) -> float:
+def opnorm_V2(stats: Window) -> float:
     # Vhat2 is symmetric PSD by construction (sum of scaled outer products)
     return float(np.linalg.norm(stats.Vhat2, 2))
 
 
-def iterated_log_opnorm(stats: FeatureStats, x: float) -> float:
+def iterated_log_opnorm(stats: Window, x: float) -> float:
     """Technical iterated-logarithm term entering the trace-norm coefficient."""
     s2 = stats.sup_H_2inf ** 2
     bump = 2 * (4 + s2 / 3) * x
@@ -229,7 +265,7 @@ def iterated_log_opnorm(stats: FeatureStats, x: float) -> float:
     )
 
 
-def theoretical_weights(stats: FeatureStats, x: float) -> PenaltyWeights:
+def theoretical_weights(stats: Window, x: float) -> PenaltyWeights:
     """Fully data-driven weights at confidence level x (natural logs)."""
     if x <= 0:
         raise ValueError("x must be positive")
@@ -239,9 +275,9 @@ def theoretical_weights(stats: FeatureStats, x: float) -> PenaltyWeights:
     d = stats.d
     log_d = math.log(d)
 
-    ell_j = iterated_log_mu(stats.node_counts, x)
+    ell_j = iterated_log_mu(stats.counts, x)
     lev_mu = x + log_d + ell_j
-    w = W_MU_SQRT * np.sqrt(lev_mu * (stats.node_counts / T) / T) + W_MU_LIN * lev_mu / T
+    w = W_MU_SQRT * np.sqrt(lev_mu * (stats.counts / T) / T) + W_MU_LIN * lev_mu / T
 
     L_jk = iterated_log_A(stats.Vhat, stats.B, x, T)
     lev_A = x + 2 * log_d + L_jk
@@ -257,7 +293,7 @@ def theoretical_weights(stats: FeatureStats, x: float) -> PenaltyWeights:
     return PenaltyWeights(w=w, W=W, tau=tau)
 
 
-def practical_weights(stats: FeatureStats, c1: float, c2: float,
+def practical_weights(stats: Window, c1: float, c2: float,
                       tau: float = 0.0) -> PenaltyWeights:
     """Simplified weights with negligible terms dropped and x = log T.
 
@@ -270,7 +306,7 @@ def practical_weights(stats: FeatureStats, c1: float, c2: float,
     if T <= 1:
         raise ValueError("practical weights need T > 1 so log T > 0")
     lev = math.log(T) + math.log(stats.d)
-    w = c1 * np.sqrt(lev * (stats.node_counts / T) / T)
+    w = c1 * np.sqrt(lev * (stats.counts / T) / T)
     W = c2 * np.sqrt(lev * stats.Vhat / T)
     return PenaltyWeights(w=w, W=W, tau=tau)
 

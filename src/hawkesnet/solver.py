@@ -19,10 +19,11 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .features import PenaltyWeights, compute_stats, \
+from .features import PenaltyWeights, Window, compute_stats, \
     constant_weights, practical_weights
-from .loss import LogLikCache, build_loglik_cache, least_squares, \
-    neg_log_likelihood_cached, precompute_gram
+# build_loglik_cache and precompute_gram are wrapped here by perfbench/
+from .loss import build_loglik_cache, least_squares, \
+    neg_log_likelihood_cached, precompute_gram  # noqa: F401
 from .penalty import pen_value, prox_l1_nonneg, prox_trace
 
 #: first step, backtracking factor and per-iteration step growth
@@ -236,27 +237,20 @@ def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
                      sufficient_decrease_ok=decrease_ok)
 
 
-def _make_loss_oracle(data, alpha, loss_kind: str):
-    if loss_kind == "least-squares":
-        gram = precompute_gram(data, alpha)
-
-        def smooth(mu, A):
-            out = least_squares(mu, A, gram)
-            return out.value, out.grad_mu, out.grad_A
-    else:
-        cache = build_loglik_cache(data, alpha)
-
-        def smooth(mu, A):
-            out = neg_log_likelihood_cached(mu, A, cache)
-            return out.value, out.grad_mu, out.grad_A
+def _make_loss_oracle(window: Window, loss_kind: str):
+    def smooth(mu, A):
+        loss = least_squares if loss_kind == "least-squares" \
+            else neg_log_likelihood_cached
+        out = loss(mu, A, window)
+        return out.value, out.grad_mu, out.grad_A
     return smooth
 
 
-def _default_init(data, loss_kind: str):
-    d, T = data.d, data.horizon_T
+def _default_init(window: Window, loss_kind: str):
+    d, T = window.d, window.horizon_T
     if loss_kind == "log-likelihood":
         # counts/T keeps every event at positive intensity
-        mu0 = np.maximum(data.counts / T, 1e-10)
+        mu0 = np.maximum(window.counts / T, 1e-10)
     else:
         mu0 = np.zeros(d)
     return mu0, np.zeros((d, d))
@@ -269,11 +263,12 @@ def _solve(smooth: Callable, weights: PenaltyWeights, mu0: np.ndarray,
     return solve(smooth, weights, mu0, A0, config)
 
 
-def fit_hawkes(data, alpha, weights: PenaltyWeights,
+def fit_hawkes(window: Window, weights: PenaltyWeights,
                config: FitConfig = FitConfig()) -> FitResult:
-    """Fit (mu, A) on one window: the config's loss plus the weights' penalty."""
-    smooth = _make_loss_oracle(data, alpha, config.loss_kind)
-    return _solve(smooth, weights, *_default_init(data, config.loss_kind),
+    """Fit (mu, A) on one window (``compute_stats(data, alpha)``): the
+    config's loss plus the weights' penalty."""
+    smooth = _make_loss_oracle(window, config.loss_kind)
+    return _solve(smooth, weights, *_default_init(window, config.loss_kind),
                   config)
 
 
@@ -284,13 +279,13 @@ class CVResult:
     fit: FitResult  # refit with the winning constants
 
 
-def heldout_loglik(mu, A, cache: LogLikCache, clip: float = 1e-12) -> float:
+def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
     """Log-likelihood of (mu, A) on a held-out window (higher is better).
 
-    ``cache`` is the held-out window's ``build_loglik_cache``.  Event
-    intensities are clipped at ``clip`` so hard-thresholded baselines do
-    not produce -inf for every candidate; a node without held-out events
-    contributes only its compensator.
+    ``cache`` is the held-out ``Window``.  Event intensities are clipped at
+    ``clip`` so hard-thresholded baselines do not produce -inf for every
+    candidate; a node without held-out events contributes only its
+    compensator.
     """
     return -cache.horizon_T * neg_log_likelihood_cached(mu, A, cache,
                                                         clip).value
@@ -304,8 +299,8 @@ def cross_validate(data, alpha, config: FitConfig,
 
     Fits on [0, T/2], scores by log-likelihood on the re-based second half
     (cold start: the test window's excitation ignores pre-split events),
-    then refits on the full window with the winning constants.  Constant
-    weights read no statistics, so only practical weighting computes them.
+    then refits on the full window with the winning constants.  Each of the
+    three windows is swept once.
     """
     if not c1_grid or not c2_grid or not tau_grid:
         raise ValueError("grids must be nonempty")
@@ -319,28 +314,20 @@ def cross_validate(data, alpha, config: FitConfig,
     if train.total_events() == 0 or test.total_events() == 0:
         raise ValueError("empty train or test half")
 
-    practical = weighting == "practical"
-    train_stats = compute_stats(train, alpha) if practical else None
-    smooth = _make_loss_oracle(train, alpha, config.loss_kind)
-    mu0, A0 = _default_init(train, config.loss_kind)
-    test_cache = build_loglik_cache(test, alpha)
+    def fit(window, c1, c2, tau):
+        weights = practical_weights(window, c1, c2, tau) \
+            if weighting == "practical" \
+            else constant_weights(window.d, c1, c2, tau)
+        return fit_hawkes(window, weights, config)
 
-    def fit_with(stats, smooth_fn, c1, c2, tau, init):
-        w = practical_weights(stats, c1, c2, tau) if stats is not None \
-            else constant_weights(data.d, c1, c2, tau)
-        return _solve(smooth_fn, w, *init, config)
-
+    train, test = compute_stats(train, alpha), compute_stats(test, alpha)
     scores = []
     best_combo, best_score = None, -np.inf
     for c1, c2, tau in itertools.product(c1_grid, c2_grid, tau_grid):
-        res = fit_with(train_stats, smooth, c1, c2, tau, (mu0, A0))
-        score = heldout_loglik(res.mu, res.A, test_cache)
+        res = fit(train, c1, c2, tau)
+        score = heldout_loglik(res.mu, res.A, test)
         scores.append((c1, c2, tau, score))
         if score > best_score:  # strict: first grid point wins ties
             best_combo, best_score = (c1, c2, tau), score
-
-    full_stats = compute_stats(data, alpha) if practical else None
-    full_smooth = _make_loss_oracle(data, alpha, config.loss_kind)
-    init_full = _default_init(data, config.loss_kind)
-    final = fit_with(full_stats, full_smooth, *best_combo, init_full)
+    final = fit(compute_stats(data, alpha), *best_combo)
     return CVResult(best=best_combo, scores=scores, fit=final)

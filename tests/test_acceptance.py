@@ -19,11 +19,10 @@ import pytest
 from scipy.integrate import quad
 
 from hawkesnet import (ModelParams, SimConfig, check_opnorm_bound,
-                       check_pointwise_bound, default_bound_params,
-                       build_loglik_cache, least_squares,
-                       neg_log_likelihood_cached, precompute_gram,
-                       prox_l1_nonneg, prox_trace, simulate,
-                       mean_stationary_intensity)
+                       check_pointwise_bound, compute_stats,
+                       default_bound_params, least_squares,
+                       neg_log_likelihood_cached, prox_l1_nonneg, prox_trace,
+                       simulate, mean_stationary_intensity)
 from hawkesnet.cli import main as cli_main
 from hawkesnet.experiment import ExperimentConfig, aggregate, run_experiment
 from hawkesnet.simulate import ScenarioConfig, generate_scenario
@@ -49,13 +48,12 @@ class TestCriterion1Gradients:
             params, data = random_instance(100 + i, d=d, horizon=8.0)
             if data.total_events() > 100:
                 data = data.truncated(4.0)
-            gram = precompute_gram(data, params.alpha)
-            cache = build_loglik_cache(data, params.alpha)
+            window = compute_stats(data, params.alpha)
             mu = rng.uniform(0.2, 1.0, d)
             A = rng.uniform(0.0, 0.4, (d, d))
             for val_grad in (
-                lambda m, a: least_squares(m, a, gram),
-                lambda m, a: neg_log_likelihood_cached(m, a, cache),
+                lambda m, a: least_squares(m, a, window),
+                lambda m, a: neg_log_likelihood_cached(m, a, window),
             ):
                 out = val_grad(mu, A)
                 grads = np.concatenate([out.grad_mu, out.grad_A.ravel()])
@@ -91,7 +89,7 @@ class TestCriterion2Gram:
         for seed in range(10):
             params, data = random_instance(200 + seed, d=2, horizon=8.0)
             alpha = params.alpha
-            g = precompute_gram(data, alpha)
+            g = compute_stats(data, alpha)
             T = data.horizon_T
             pts = sorted(set(np.concatenate(data.events).tolist()))
             for j in range(2):
@@ -268,7 +266,7 @@ class TestCriterion9SolverSanity:
             weights = PenaltyWeights(w=np.zeros(2), W=np.zeros((2, 2)),
                                      tau=0.0)
             cfg = FitConfig(max_iter=400, tol=1e-12)
-            res = fit_hawkes(data, truth.alpha, weights, cfg)
+            res = fit_hawkes(compute_stats(data, truth.alpha), weights, cfg)
             decrease_ok &= res.sufficient_decrease_ok
             num = (np.sum((res.mu - truth.mu) ** 2)
                    + np.sum((res.A - truth.A) ** 2))

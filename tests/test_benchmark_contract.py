@@ -7,6 +7,7 @@ import importlib.util
 import inspect
 import pathlib
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -74,3 +75,40 @@ def test_study_inputs_build(study, workloads):
         assert cfg.scenario.d == params.d == size.d
         assert cfg.horizons == (size.T,)
         assert all(getattr(cfg, k) == v for k, v in size.config.items())
+
+
+#: the span names of the window builders, whose counters read the window
+BUILDERS = ("features.compute_stats", "loss.precompute_gram",
+            "loss.build_loglik_cache")
+
+
+def _small_window():
+    hn = importlib.import_module("hawkesnet")
+    params = hn.default_bound_params(3)
+    data = hn.simulate(hn.SimConfig(params=params, horizon_T=20.0, seed=1))
+    return hn, params, data
+
+
+def test_builder_counters_read_the_window():
+    _, params, data = _small_window()
+    builders = [t for t in _tracing().targets(_Modules()) if t[2] in BUILDERS]
+    assert {name for _, _, name, _ in builders} == set(BUILDERS)
+    for module, attr, name, counter in builders:
+        counts = defaultdict(int)
+        counter(counts, name, getattr(module, attr)(data, params.alpha))
+        assert counts[name + ".events"] == data.total_events()
+
+
+def test_check_losses_names_feed_the_losses():
+    # as ``check_losses`` in perfbench/workloads.py calls them
+    hn, params, data = _small_window()
+    loss = importlib.import_module("hawkesnet.loss")
+    window = hn.compute_stats(data, params.alpha)
+    mu, A = params.mu, params.A
+    pairs = ((loss.least_squares, loss.precompute_gram),
+             (loss.neg_log_likelihood_cached, loss.build_loglik_cache))
+    for value_grad, build in pairs:
+        got = value_grad(mu, A, build(data, params.alpha))
+        want = value_grad(mu, A, window)
+        assert got.value == want.value
+        assert (got.grad_A == want.grad_A).all()

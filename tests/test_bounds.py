@@ -71,8 +71,7 @@ class TestComputeNoise:
         for rep in range(reps):
             data = simulate_replication(params, T, 0, rep)
             noise = compute_noise(params, data)
-            stats = compute_stats(data, params.alpha)
-            sq_gap.append(noise.Z ** 2 - T * stats.Vhat)
+            sq_gap.append(noise.Z ** 2 - T * noise.window.Vhat)
             M.append(noise.M_T)
             M_sq_gap.append(noise.M_T ** 2 - data.counts)
         sq_gap, M, M_sq_gap = map(np.array, (sq_gap, M, M_sq_gap))

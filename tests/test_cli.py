@@ -136,14 +136,13 @@ class TestFitEval:
         diag = json.loads(out)
         assert diag["sufficient_decrease_ok"]
 
-    def test_constant_weights_compute_no_stats(self, sim_files, tmp_path,
-                                               capsys, monkeypatch):
+    def test_constant_weights_fit_one_window(self, sim_files, tmp_path,
+                                             capsys, monkeypatch):
         import hawkesnet.cli as cli
-
-        def no_stats(*args):
-            raise AssertionError("constant weights read no statistics")
-
-        monkeypatch.setattr(cli, "compute_stats", no_stats)
+        windows = []
+        build = cli.compute_stats
+        monkeypatch.setattr(cli, "compute_stats",
+                            lambda *args: windows.append(1) or build(*args))
         events, _ = sim_files
         for proc in ("L1", "L1Nuclear"):
             code, out, err = run_cli(capsys, "fit", "--events", events,
@@ -151,6 +150,7 @@ class TestFitEval:
                                      "--out-dir", str(tmp_path / proc))
             assert code == 0, err
             assert json.loads(out)["sufficient_decrease_ok"]
+        assert len(windows) == 2
 
     def test_weighted_fit_sparser_than_nopen(self, sim_files, tmp_path,
                                              capsys):
@@ -381,6 +381,17 @@ class TestExperimentConfig:
         {**EXP_CONFIG, "scenario": {"d": 6, "seed": 4, "T": 60.0}},
     ])
     def test_jobs_and_nested_keys_rejected(self, tmp_path, capsys, cfg):
+        code, out, err, out_dir = self._run(tmp_path, capsys, cfg)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad", [{"loss_kind": "least-square"},
+                                     {"horizons": []}])
+    def test_bad_values_rejected_before_simulating(self, tmp_path, capsys,
+                                                   bad):
+        cfg = {"scenario": {"d": 5, "seed": 1}, "horizons": [30.0],
+               "n_replications": 1, "procedures": ["NoPen"], **bad}
         code, out, err, out_dir = self._run(tmp_path, capsys, cfg)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ValueError"

@@ -31,15 +31,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(horizons=(100.0, 50.0))
 
+    @pytest.mark.parametrize("bad", [
+        dict(loss_kind="least-square"), dict(max_iter=0), dict(horizons=()),
+        dict(horizons=(0.0, 50.0)), dict(n_replications=0)])
+    def test_rejected_before_any_fit(self, bad):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+
 
 class TestFitConfigBuilder:
     def test_nopen_has_no_active_penalty(self, monkeypatch):
         calls = []
         fit = experiment.fit_hawkes
 
-        def recorded(data, alpha, weights, config):
+        def recorded(window, weights, config):
             calls.append((weights, config))
-            return fit(data, alpha, weights, config)
+            return fit(window, weights, config)
 
         monkeypatch.setattr(experiment, "fit_hawkes", recorded)
         run_experiment(tiny_config(procedures=("NoPen",), n_replications=1))

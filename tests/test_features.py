@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hawkesnet import (EventData, FeatureStats, ModelParams,
-                       build_loglik_cache, compute_stats, constant_weights,
+from hawkesnet import (EventData, ModelParams, Window, compute_stats,
+                       constant_weights,
                        intensity_at, neg_log_likelihood_cached,
-                       practical_weights, precompute_gram,
+                       practical_weights,
                        theoretical_weights)
 from tests.conftest import random_instance
 
@@ -49,17 +49,13 @@ def naive_stats(data, alpha):
 
 
 def stats_with_counts(counts, d, T):
-    """Minimal FeatureStats carrying only what the baseline weights read."""
-    counts = np.asarray(counts)
-    return FeatureStats(
-        horizon_T=T,
-        B=np.zeros((d, d)),
-        Vhat=np.zeros((d, d)),
-        Vhat1=np.zeros(d),
-        Vhat2=np.zeros((d, d)),
-        sup_H_2inf=0.0,
-        node_counts=counts,
-    )
+    """A Window of zero statistics carrying only what the baseline weights
+    read."""
+    zeros = np.zeros((d, d))
+    return Window(horizon_T=T, counts=np.asarray(counts),
+                  row_block=np.zeros(d, dtype=int), G=zeros[None], int_H=zeros,
+                  S=zeros, H_at_events=(np.zeros((0, d)),) * d, B=zeros,
+                  Vhat=zeros, Vhat1=np.zeros(d), Vhat2=zeros, sup_H_2inf=0.0)
 
 
 class TestComputeStats:
@@ -79,8 +75,7 @@ class TestComputeStats:
         assert st.Vhat[0, 0] == pytest.approx(0.12952, abs=5e-6)
         # running sup is attained just after the last event
         assert st.B[0, 0] == pytest.approx(1 + e1 + e2, rel=1e-12)
-        cache = build_loglik_cache(data, np.ones((1, 1)))
-        h_left = cache.H_at_events[0][:, 0]
+        h_left = st.H_at_events[0][:, 0]
         assert h_left == pytest.approx([0.0, e1, e2 + e1], rel=1e-12)
 
     def test_d1_collapse(self):
@@ -93,7 +88,6 @@ class TestComputeStats:
     def test_matches_naive_double_sum(self, seed):
         params, data = random_instance(seed, d=3, horizon=20.0)
         st = compute_stats(data, params.alpha)
-        cache = build_loglik_cache(data, params.alpha)
         V, V1, V2, B, sup = naive_stats(data, params.alpha)
         assert st.Vhat == pytest.approx(V, rel=1e-10, abs=1e-12)
         assert st.Vhat1 == pytest.approx(V1, rel=1e-10, abs=1e-12)
@@ -102,7 +96,7 @@ class TestComputeStats:
         assert st.sup_H_2inf == pytest.approx(sup, rel=1e-10)
         for j in range(3):
             for i, t in enumerate(data.events[j]):
-                assert cache.H_at_events[j][i] == pytest.approx(
+                assert st.H_at_events[j][i] == pytest.approx(
                     naive_H(data, params.alpha, t)[j], rel=1e-10, abs=1e-12)
 
     def test_B_monotone_under_added_events(self):
@@ -148,30 +142,28 @@ class TestUniformDecaySweep:
         assert stats.Vhat2 == pytest.approx(V2, rel=1e-10, abs=1e-12)
         assert stats.B == pytest.approx(B, rel=1e-10, abs=1e-12)
         assert stats.sup_H_2inf == pytest.approx(sup, rel=1e-10, abs=1e-12)
-        g = precompute_gram(data, alpha)
-        cache = build_loglik_cache(data, alpha)
-        assert len(g.G) == 1
+        assert len(stats.G) == 1
         pts = sorted(set(np.concatenate(data.events).tolist()))
         for j in range(d):
             left = np.array([naive_H(data, alpha, t)[j]
                              for t in data.events[j]]).reshape(-1, d)
-            assert cache.H_at_events[j] == pytest.approx(left, rel=1e-10,
+            assert stats.H_at_events[j] == pytest.approx(left, rel=1e-10,
                                                          abs=1e-12)
-            assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-10,
+            assert stats.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-10,
                                            abs=1e-12)
             for k in range(d):
                 val, _ = quad(lambda t: H_quad(data, alpha, j, k, t), 0, T,
                               points=pts or None, limit=400)
-                assert g.psi[j, k] == pytest.approx(val / T, rel=1e-8,
-                                                    abs=1e-10)
-                assert cache.int_H[j, k] == pytest.approx(val, rel=1e-8,
+                assert stats.psi[j, k] == pytest.approx(val / T, rel=1e-8,
+                                                        abs=1e-10)
+                assert stats.int_H[j, k] == pytest.approx(val, rel=1e-8,
                                                           abs=1e-10)
                 for l in range(k, d):
                     val2, _ = quad(
                         lambda t: H_quad(data, alpha, j, k, t)
                         * H_quad(data, alpha, j, l, t), 0, T,
                         points=pts or None, limit=400)
-                    assert g.block(j)[k, l] == pytest.approx(
+                    assert stats.block(j)[k, l] == pytest.approx(
                         val2 / T, rel=1e-8, abs=1e-10)
 
     def test_one_block_matches_per_row_blocks(self):
@@ -180,20 +172,16 @@ class TestUniformDecaySweep:
         params, data = random_instance(21, d=4, horizon=30.0)
         uni = np.full((4, 4), 0.9)
         per_row = uni + 1e-15 * np.arange(16).reshape(4, 4)
-        ga, gb = precompute_gram(data, uni), precompute_gram(data, per_row)
+        ga, gb = compute_stats(data, uni), compute_stats(data, per_row)
         assert len(ga.G) == 1 and len(gb.G) == 4
         assert ga.psi == pytest.approx(gb.psi, rel=1e-9)
         assert ga.S == pytest.approx(gb.S, rel=1e-12)
         for j in range(4):
             assert ga.block(j) == pytest.approx(gb.block(j), rel=1e-9)
-        sa, sb = compute_stats(data, uni), compute_stats(data, per_row)
-        for name in ("B", "Vhat", "Vhat1", "Vhat2"):
-            assert getattr(sa, name) == pytest.approx(getattr(sb, name),
+        for name in ("B", "Vhat", "Vhat1", "Vhat2", "int_H"):
+            assert getattr(ga, name) == pytest.approx(getattr(gb, name),
                                                       rel=1e-9)
-        ca, cb = build_loglik_cache(data, uni), build_loglik_cache(data,
-                                                                   per_row)
-        assert ca.int_H == pytest.approx(cb.int_H, rel=1e-9)
-        for ha, hb in zip(ca.H_at_events, cb.H_at_events):
+        for ha, hb in zip(ga.H_at_events, gb.H_at_events):
             assert ha == pytest.approx(hb, rel=1e-9)
 
 
@@ -203,9 +191,8 @@ class TestSimultaneousEvents:
     def test_two_nodes_one_timestamp(self):
         data = EventData(3.0, (np.array([1.0]), np.array([1.0])))
         stats = compute_stats(data, np.ones((2, 2)))
-        cache = build_loglik_cache(data, np.ones((2, 2)))
-        assert np.all(cache.H_at_events[0] == 0)
-        assert np.all(cache.H_at_events[1] == 0)
+        assert np.all(stats.H_at_events[0] == 0)
+        assert np.all(stats.H_at_events[1] == 0)
         # the sup just after t = 1 counts both events
         assert stats.sup_H_2inf == pytest.approx(math.sqrt(2), rel=1e-12)
 
@@ -220,9 +207,8 @@ class TestSimultaneousEvents:
         assert b.B == pytest.approx(a.B[P], rel=1e-12)
         assert b.Vhat == pytest.approx(a.Vhat[P], rel=1e-12)
         assert b.Vhat2 == pytest.approx(a.Vhat2[P], rel=1e-12)
-        ga, gb = precompute_gram(data, alpha), precompute_gram(swapped, alpha)
-        assert gb.S == pytest.approx(ga.S[P], rel=1e-12)
-        assert gb.block(0) == pytest.approx(ga.block(0)[P], rel=1e-12)
+        assert b.S == pytest.approx(a.S[P], rel=1e-12)
+        assert b.block(0) == pytest.approx(a.block(0)[P], rel=1e-12)
 
     def test_matches_intensity_at_with_cross_node_ties(self):
         rng = np.random.default_rng(5)
@@ -234,15 +220,14 @@ class TestSimultaneousEvents:
         params = ModelParams(mu=rng.uniform(0.2, 0.5, d),
                              A=rng.uniform(0.0, 0.3, (d, d)),
                              alpha=rng.uniform(0.5, 2.0, (d, d)))
-        cache = build_loglik_cache(data, params.alpha)
-        g = precompute_gram(data, params.alpha)
+        window = compute_stats(data, params.alpha)
         logs = 0.0
         for j in range(d):
             left = np.array([naive_H(data, params.alpha, t)[j]
                              for t in data.events[j]])
-            assert cache.H_at_events[j] == pytest.approx(left, rel=1e-12,
-                                                         abs=1e-14)
-            assert g.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-12)
+            assert window.H_at_events[j] == pytest.approx(left, rel=1e-12,
+                                                          abs=1e-14)
+            assert window.S[j] == pytest.approx(left.sum(axis=0) / T, rel=1e-12)
             lam = np.array([intensity_at(params, data, j, t)
                             for t in data.events[j]])
             assert params.mu[j] + left @ params.A[j] == pytest.approx(
@@ -252,7 +237,7 @@ class TestSimultaneousEvents:
             params.A[j, k] * np.sum(-np.expm1(-params.alpha[j, k]
                                               * (T - data.events[k])))
             / params.alpha[j, k] for j in range(d) for k in range(d))
-        nll = neg_log_likelihood_cached(params.mu, params.A, cache)
+        nll = neg_log_likelihood_cached(params.mu, params.A, window)
         assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
 
 

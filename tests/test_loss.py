@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hawkesnet import (EventData, ModelParams, SimConfig, build_loglik_cache,
+from hawkesnet import (EventData, ModelParams, SimConfig, compute_stats,
                        default_bound_params, least_squares,
-                       neg_log_likelihood_cached, precompute_gram, simulate)
+                       neg_log_likelihood_cached, simulate)
 from hawkesnet import features
 from hawkesnet.features import excitation_states
 from tests.conftest import random_instance
@@ -35,13 +35,13 @@ def fd_check(value_at, mu, A, grad_mu, grad_A, h=1e-6, rtol=1e-5):
 class TestPrecomputeGram:
     def test_no_events_all_zero(self):
         data = EventData(4.0, (np.empty(0), np.empty(0)))
-        g = precompute_gram(data, np.ones((2, 2)))
+        g = compute_stats(data, np.ones((2, 2)))
         assert np.all(g.psi == 0) and np.all(g.G == 0) and np.all(g.S == 0)
         assert np.all(g.counts == 0)
 
     def test_single_event_hand_integrals(self):
         data = EventData(3.0, (np.array([1.0]),))
-        g = precompute_gram(data, np.ones((1, 1)))
+        g = compute_stats(data, np.ones((1, 1)))
         assert g.psi[0, 0] == pytest.approx((1 - math.exp(-2)) / 3, rel=1e-12)
         assert g.block(0)[0, 0] == pytest.approx((1 - math.exp(-4)) / 6,
                                              rel=1e-12)
@@ -54,7 +54,7 @@ class TestPrecomputeGram:
         # criterion: closed form vs adaptive quadrature within 1e-8 relative
         params, data = random_instance(seed, d=2, horizon=12.0)
         alpha = params.alpha
-        g = precompute_gram(data, alpha)
+        g = compute_stats(data, alpha)
         T = data.horizon_T
         pts = sorted(set(np.concatenate(data.events).tolist()))
         for j in range(2):
@@ -73,7 +73,7 @@ class TestPrecomputeGram:
 
     def test_S_matches_left_limit_sums(self):
         params, data = random_instance(3, d=2, horizon=15.0)
-        g = precompute_gram(data, params.alpha)
+        g = compute_stats(data, params.alpha)
         T = data.horizon_T
         for j in range(2):
             for k in range(2):
@@ -84,7 +84,7 @@ class TestPrecomputeGram:
 
     def test_gram_psd_per_node(self):
         params, data = random_instance(5, d=3, horizon=20.0)
-        g = precompute_gram(data, params.alpha)
+        g = compute_stats(data, params.alpha)
         for j in range(3):
             Gj = g.block(j)
             assert np.allclose(Gj, Gj.T, atol=1e-12)
@@ -97,8 +97,8 @@ class TestPrecomputeGram:
         # compare the uniform path against the general path forced by an
         # epsilon-different matrix
         eps = np.array([[0.0, 1e-13], [0.0, 0.0]])
-        ga = precompute_gram(data, uni)
-        gb = precompute_gram(data, uni + eps)
+        ga = compute_stats(data, uni)
+        gb = compute_stats(data, uni + eps)
         assert ga.psi == pytest.approx(gb.psi, rel=1e-9)
         assert len(ga.G) == 1 and len(gb.G) == 2
         for j in range(2):
@@ -121,7 +121,7 @@ class TestPrecomputeGram:
         assert data.total_events() > 100
         tracemalloc.start()
         try:
-            g = precompute_gram(data, params.alpha)
+            g = compute_stats(data, params.alpha)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -134,19 +134,19 @@ class TestPrecomputeGram:
 
 class TestLeastSquares:
     def test_zero_params(self, small_params, small_data):
-        g = precompute_gram(small_data, small_params.alpha)
+        g = compute_stats(small_data, small_params.alpha)
         out = least_squares(np.zeros(3), np.zeros((3, 3)), g)
         assert out.value == 0.0
         assert out.grad_mu == pytest.approx(-2 * g.counts / g.horizon_T)
 
     def test_hand_value_poisson(self):
         data = EventData(2.0, (np.array([1.0]),))
-        g = precompute_gram(data, np.ones((1, 1)))
+        g = compute_stats(data, np.ones((1, 1)))
         out = least_squares(np.array([1.0]), np.zeros((1, 1)), g)
         assert out.value == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch(self, small_params, small_data):
-        g = precompute_gram(small_data, small_params.alpha)
+        g = compute_stats(small_data, small_params.alpha)
         with pytest.raises(ValueError):
             least_squares(np.zeros(2), np.zeros((2, 2)), g)
 
@@ -154,7 +154,7 @@ class TestLeastSquares:
     def test_gradient_finite_differences(self, seed):
         d = 1 if seed % 2 else 3
         params, data = random_instance(seed + 20, d=d, horizon=10.0)
-        g = precompute_gram(data, params.alpha)
+        g = compute_stats(data, params.alpha)
         rng = np.random.default_rng(seed)
         mu = rng.uniform(0.1, 1.0, d)
         A = rng.uniform(0.0, 0.5, (d, d))
@@ -164,7 +164,7 @@ class TestLeastSquares:
 
     def test_midpoint_convexity(self):
         params, data = random_instance(11, d=2, horizon=15.0)
-        g = precompute_gram(data, params.alpha)
+        g = compute_stats(data, params.alpha)
         rng = np.random.default_rng(0)
         for _ in range(20):
             m1, m2 = rng.uniform(0, 1, (2, 2))
@@ -181,14 +181,14 @@ class TestNegLogLikelihood:
     def test_hand_value_poisson(self):
         params = ModelParams(mu=[1.0], A=[[0.0]], alpha=[[1.0]])
         data = EventData(2.0, (np.array([1.0]),))
-        cache = build_loglik_cache(data, params.alpha)
+        cache = compute_stats(data, params.alpha)
         out = neg_log_likelihood_cached(params.mu, params.A, cache)
         assert out.value == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_intensity_infeasible(self):
         params = ModelParams(mu=[0.0], A=[[0.0]], alpha=[[1.0]])
         data = EventData(2.0, (np.array([1.0]),))
-        cache = build_loglik_cache(data, params.alpha)
+        cache = compute_stats(data, params.alpha)
         out = neg_log_likelihood_cached(params.mu, params.A, cache)
         assert out.value == np.inf
 
@@ -196,7 +196,7 @@ class TestNegLogLikelihood:
     def test_gradient_finite_differences(self, seed):
         d = 1 if seed % 2 else 3
         params, data = random_instance(seed + 40, d=d, horizon=10.0)
-        cache = build_loglik_cache(data, params.alpha)
+        cache = compute_stats(data, params.alpha)
         rng = np.random.default_rng(seed)
         mu = rng.uniform(0.2, 1.0, d)
         A = rng.uniform(0.0, 0.5, (d, d))
@@ -207,7 +207,7 @@ class TestNegLogLikelihood:
     def test_compensator_via_quadrature(self):
         # value check against direct numeric evaluation of the likelihood
         params, data = random_instance(2, d=2, horizon=10.0)
-        cache = build_loglik_cache(data, params.alpha)
+        cache = compute_stats(data, params.alpha)
         out = neg_log_likelihood_cached(params.mu, params.A, cache)
         T = data.horizon_T
         total = 0.0
@@ -223,7 +223,7 @@ class TestNegLogLikelihood:
 
     def test_midpoint_convexity(self):
         params, data = random_instance(13, d=2, horizon=15.0)
-        cache = build_loglik_cache(data, params.alpha)
+        cache = compute_stats(data, params.alpha)
         rng = np.random.default_rng(1)
         for _ in range(20):
             m1, m2 = rng.uniform(0.1, 1, (2, 2))

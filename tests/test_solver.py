@@ -3,7 +3,7 @@ import pytest
 
 from hawkesnet import (CVResult, EventData, FitConfig, ModelParams,
                        PenaltyWeights, ScenarioConfig, SimConfig,
-                       build_loglik_cache, compute_stats, cross_validate,
+                       compute_stats, cross_validate,
                        fit_hawkes, generate_scenario, pen_value,
                        practical_weights, simulate)
 from hawkesnet import solver
@@ -26,7 +26,7 @@ class TestFitFista:
         data = simulate(SimConfig(params=params, horizon_T=100.0, seed=2))
         pinned = PenaltyWeights(w=np.zeros(2), W=np.full((2, 2), 1e6), tau=0.0)
         cfg = FitConfig(max_iter=200, tol=1e-14)
-        res = fit_hawkes(data, params.alpha, pinned, cfg)
+        res = fit_hawkes(compute_stats(data, params.alpha), pinned, cfg)
         assert np.all(res.A == 0.0)
         assert res.mu == pytest.approx(data.counts / 100.0, abs=1e-8)
         assert res.converged
@@ -34,15 +34,17 @@ class TestFitFista:
     def test_overpenalization_returns_zero(self):
         params, data = random_instance(1, d=2, horizon=50.0)
         big = constant_weights(2, 1e4, 1e4)
-        res = fit_hawkes(data, params.alpha, big, FitConfig(max_iter=50))
+        window = compute_stats(data, params.alpha)
+        res = fit_hawkes(window, big, FitConfig(max_iter=50))
         assert np.all(res.mu == 0.0)
         assert np.all(res.A == 0.0)
 
     def test_objective_trace_best_iterate(self):
         params, data = random_instance(2, d=2, horizon=60.0)
         w = constant_weights(2, 0.01, 0.01)
-        res = fit_hawkes(data, params.alpha, w, FitConfig(max_iter=80))
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        window = compute_stats(data, params.alpha)
+        res = fit_hawkes(window, w, FitConfig(max_iter=80))
+        smooth = _make_loss_oracle(window, "least-squares")
         final_obj = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
         assert final_obj <= min(res.objective_trace) + 1e-12
 
@@ -51,7 +53,8 @@ class TestFitFista:
         params, data = random_instance(3, d=2, horizon=60.0)
         w = constant_weights(2, 0.01, 0.01)
         accepted = []
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        smooth = _make_loss_oracle(compute_stats(data, params.alpha),
+                                   "least-squares")
 
         def checked_smooth(mu, A):
             out = smooth(mu, A)
@@ -68,7 +71,8 @@ class TestFitFista:
         # penalty, so the first step from x0 = 0 raises the objective
         params, data = random_instance(3, d=2, horizon=60.0)
         w = constant_weights(2, 10.0, 10.0)
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        smooth = _make_loss_oracle(compute_stats(data, params.alpha),
+                                   "least-squares")
         monkeypatch.setattr(solver, "prox_l1_nonneg",
                             lambda v, weights, step: np.maximum(v, 0.0))
         res = fit_fista(smooth, w, np.zeros(2), np.zeros((2, 2)),
@@ -85,7 +89,8 @@ class TestFitFista:
                                  alpha=np.ones((2, 2)))
             data = simulate(SimConfig(params=params, horizon_T=5000.0,
                                       seed=seed))
-            res = fit_hawkes(data, params.alpha, zero_weights(2),
+            res = fit_hawkes(compute_stats(data, params.alpha),
+                             zero_weights(2),
                              FitConfig(max_iter=400, tol=1e-12))
             num = (np.sum((res.mu - params.mu) ** 2)
                    + np.sum((res.A - params.A) ** 2))
@@ -95,9 +100,10 @@ class TestFitFista:
 
     def test_loglik_loss_runs_and_matches_ls_roughly(self):
         params, data = random_instance(5, d=2, horizon=200.0)
-        res_ls = fit_hawkes(data, params.alpha, zero_weights(2),
+        window = compute_stats(data, params.alpha)
+        res_ls = fit_hawkes(window, zero_weights(2),
                             FitConfig(max_iter=300, tol=1e-12))
-        res_ll = fit_hawkes(data, params.alpha, zero_weights(2),
+        res_ll = fit_hawkes(window, zero_weights(2),
                             FitConfig(max_iter=300, tol=1e-12,
                                       loss_kind="log-likelihood"))
         assert np.all(res_ll.mu >= 0) and np.all(res_ll.A >= 0)
@@ -107,14 +113,16 @@ class TestFitFista:
     def test_infeasible_start_raises(self):
         params, data = random_instance(6, d=2, horizon=30.0)
         cfg = FitConfig(loss_kind="log-likelihood")
-        smooth = _make_loss_oracle(data, params.alpha, cfg.loss_kind)
+        smooth = _make_loss_oracle(compute_stats(data, params.alpha),
+                                   cfg.loss_kind)
         with pytest.raises(LineSearchError):
             _solve(smooth, zero_weights(2), np.zeros(2), np.zeros((2, 2)),
                    cfg)
 
     def test_rejects_trace_norm(self):
         params, data = random_instance(6, d=2, horizon=30.0)
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        smooth = _make_loss_oracle(compute_stats(data, params.alpha),
+                                   "least-squares")
         with pytest.raises(ValueError):
             fit_fista(smooth, constant_weights(2, 0.1, 0.1, tau=0.1),
                       np.zeros(2), np.zeros((2, 2)), FitConfig())
@@ -124,10 +132,11 @@ class TestFitPrisma:
     def test_tau_zero_matches_fista(self):
         params, data = random_instance(7, d=2, horizon=80.0)
         w = constant_weights(2, 0.01, 0.01, tau=0.0)
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        window = compute_stats(data, params.alpha)
+        smooth = _make_loss_oracle(window, "least-squares")
         cfg = FitConfig(max_iter=300, tol=1e-12)
         res_p = fit_prisma(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
-        res_f = fit_hawkes(data, params.alpha, w, cfg)
+        res_f = fit_hawkes(window, w, cfg)
         obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A, w)
         obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A, w)
         assert obj_p == pytest.approx(obj_f, rel=1e-4, abs=1e-8)
@@ -135,20 +144,21 @@ class TestFitPrisma:
     def test_mixed_penalty_nonnegative_output(self):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        res = fit_hawkes(data, params.alpha, w, FitConfig(max_iter=100))
+        res = fit_hawkes(compute_stats(data, params.alpha), w,
+                         FitConfig(max_iter=100))
         assert res.solver == "prisma"
         assert np.all(res.A >= 0) and np.all(res.mu >= 0)
 
     def test_sufficient_decrease_computed(self, monkeypatch):
         params, data = random_instance(8, d=3, horizon=60.0)
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
-        assert fit_hawkes(data, params.alpha, w,
+        window = compute_stats(data, params.alpha)
+        assert fit_hawkes(window, w,
                           FitConfig(max_iter=50)).sufficient_decrease_ok
         # an l1 prox that ignores its weights lets the l1 term grow
         monkeypatch.setattr(solver, "prox_l1_nonneg",
                             lambda v, weights, step: np.maximum(v, 0.0))
-        res = fit_hawkes(data, params.alpha,
-                         constant_weights(3, 10.0, 10.0, tau=0.05),
+        res = fit_hawkes(window, constant_weights(3, 10.0, 10.0, tau=0.05),
                          FitConfig(max_iter=5))
         assert res.solver == "prisma"
         assert not res.sufficient_decrease_ok
@@ -156,9 +166,10 @@ class TestFitPrisma:
     def test_large_tau_drops_rank(self):
         params, data = random_instance(10, d=3, horizon=80.0)
         cfg = FitConfig(max_iter=200)
-        small = fit_hawkes(data, params.alpha,
+        window = compute_stats(data, params.alpha)
+        small = fit_hawkes(window,
                            constant_weights(3, 0.001, 0.001, tau=1e-6), cfg)
-        big = fit_hawkes(data, params.alpha,
+        big = fit_hawkes(window,
                          constant_weights(3, 0.001, 0.001, tau=10.0), cfg)
         s_small = np.linalg.svd(small.A, compute_uv=False).sum()
         s_big = np.linalg.svd(big.A, compute_uv=False).sum()
@@ -180,7 +191,7 @@ class TestReportedFields:
             return out
 
         monkeypatch.setattr(solver, "_backtrack", recorded)
-        res = fit_hawkes(data, params.alpha,
+        res = fit_hawkes(compute_stats(data, params.alpha),
                          constant_weights(3, 0.01, 0.01, tau=tau),
                          FitConfig(max_iter=5, tol=1e-15))
         assert not res.converged
@@ -193,9 +204,10 @@ class TestReportedFields:
         # which is the estimate the fit returns
         params, _ = generate_scenario(ScenarioConfig(d=30, seed=42))
         data = simulate(SimConfig(params=params, horizon_T=500.0, seed=3))
-        w = practical_weights(compute_stats(data, params.alpha), 1.0, 1.0)
-        res = fit_hawkes(data, params.alpha, w)
-        smooth = _make_loss_oracle(data, params.alpha, "least-squares")
+        window = compute_stats(data, params.alpha)
+        w = practical_weights(window, 1.0, 1.0)
+        res = fit_hawkes(window, w)
+        smooth = _make_loss_oracle(window, "least-squares")
         estimate = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
         assert res.objective_trace[-1] > estimate
         assert res.as_dict()["final_objective"] == pytest.approx(estimate,
@@ -216,15 +228,15 @@ class TestHeldoutLoglik:
     def test_idle_node_adds_only_its_compensator(self):
         # node 1 has no events: log-lik = 2 log 0.5 - 0.5 * 10 - 0 * 10
         data = EventData(10.0, (np.array([1.0, 2.0]), np.empty(0)))
-        cache = build_loglik_cache(data, np.ones((2, 2)))
-        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), cache)
+        window = compute_stats(data, np.ones((2, 2)))
+        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), window)
         assert score == pytest.approx(2 * np.log(0.5) - 5.0, rel=1e-14)
         assert score == pytest.approx(-6.386, abs=1e-3)
 
     def test_clip_floors_zero_intensities(self):
         data = EventData(10.0, (np.array([1.0, 2.0]), np.array([3.0])))
-        cache = build_loglik_cache(data, np.ones((2, 2)))
-        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), cache,
+        window = compute_stats(data, np.ones((2, 2)))
+        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), window,
                                clip=1e-12)
         assert score == pytest.approx(2 * np.log(0.5) - 5.0 + np.log(1e-12),
                                       rel=1e-14)
@@ -261,28 +273,6 @@ class TestCrossValidate:
                             (0.01, 0.03), weighting="constant")
         assert cv.best[0] in (0.01, 0.03)
         assert len(cv.scores) == 4
-
-    def test_one_heldout_cache_and_no_stats_for_constant(self,
-                                                         monkeypatch):
-        params, data = random_instance(14, d=2, horizon=60.0)
-        calls = {"cache": 0, "stats": 0}
-        build = solver.build_loglik_cache
-
-        def counted_cache(*args):
-            calls["cache"] += 1
-            return build(*args)
-
-        def no_stats(*args):
-            calls["stats"] += 1
-            raise AssertionError("constant weights read no statistics")
-
-        monkeypatch.setattr(solver, "build_loglik_cache", counted_cache)
-        monkeypatch.setattr(solver, "compute_stats", no_stats)
-        cfg = FitConfig(max_iter=20)
-        cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
-                            (0.01, 0.03), weighting="constant")
-        assert len(cv.scores) == 4
-        assert calls == {"cache": 1, "stats": 0}
 
     def test_unknown_weighting_rejected(self):
         params, data = random_instance(14, d=2, horizon=60.0)
