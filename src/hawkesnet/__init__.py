@@ -10,7 +10,7 @@ from .features import (PenaltyWeights, Window, compute_stats,
 from .loss import LossValueGrad, least_squares, neg_log_likelihood_cached
 from .penalty import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 from .solver import (CVResult, FitConfig, FitResult, cross_validate,
-                     fit_fista, fit_hawkes, fit_prisma)
+                     fit_fista, fit_hawkes, fit_split)
 from .metrics import EvalReport, auc_score, evaluate, relative_error
 from .bounds import (BoundReport, NoiseMatrices, check_opnorm_bound,
                      check_pointwise_bound, compute_noise,

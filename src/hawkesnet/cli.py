@@ -80,7 +80,6 @@ def cmd_fit(args) -> int:
     d = data.d
     alpha = io.read_matrix_csv(args.alpha_file) if args.alpha_file \
         else np.full((d, d), args.alpha)
-    out_dir = io.ensure_dir(args.out_dir)
     window = compute_stats(data, alpha)
     if args.procedure == "NoPen":
         weights = constant_weights(d, 0.0, 0.0)
@@ -90,11 +89,13 @@ def cmd_fit(args) -> int:
         weights = practical_weights(window, args.c1, args.c2, tau) \
             if weighting == "practical" \
             else constant_weights(d, args.c1, args.c2, tau)
+    cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
+    out_dir = io.ensure_dir(args.out_dir)
+    if args.procedure != "NoPen":
         io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
         io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
         io.write_json({"tau": weights.tau, "mode": weighting},
                       os.path.join(out_dir, "weights_meta.json"))
-    cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
     result = fit_hawkes(window, weights, cfg)
     io.write_vector(result.mu, os.path.join(out_dir, "mu_hat.csv"))
     io.write_matrix_csv(result.A, os.path.join(out_dir, "A_hat.csv"))

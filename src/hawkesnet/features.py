@@ -183,6 +183,11 @@ class PenaltyWeights:
     W: np.ndarray
     tau: float
 
+    def __post_init__(self):
+        v = np.concatenate([np.ravel(self.w), np.ravel(self.W), [self.tau]])
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("penalty weights must be finite and >= 0")
+
 
 def compute_stats(data, alpha) -> Window:
     """The window of ``data``: one ``block_states`` sweep, then array algebra."""

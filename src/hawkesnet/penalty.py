@@ -36,9 +36,8 @@ def prox_l1_nonneg(v, weights, step: float):
 def prox_trace(V, tau_step: float):
     """Singular value soft-thresholding: prox of tau_step * trace norm.
 
-    Output entries may be negative.  The solvers never take this prox as a
-    step: PRISMA uses it for the gradient of the smoothed trace norm and
-    keeps A nonnegative through the weighted-l1 prox.
+    Output entries may be negative.  ``solver.fit_split`` takes it as its
+    trace-norm step and returns the nonnegative points of the l1 prox.
     """
     V = np.asarray(V, dtype=float)
     if not np.all(np.isfinite(V)):

@@ -5,9 +5,11 @@ Every solver takes the penalty as an argument, its weights
 mu, A >= 0.  ``FitConfig`` holds only the solver settings (loss, iteration
 budget, tolerance).  Without a trace norm (tau = 0) FISTA, accelerated
 proximal gradient with backtracking and momentum restart, takes exact
-weighted-l1 + nonnegativity prox steps.  With tau > 0 a PRISMA-style
-splitting smooths the trace norm with a decreasing parameter and takes the
-same exact prox steps on the l1 + nonnegativity term.
+weighted-l1 + nonnegativity prox steps.  With tau > 0 Davis-Yin
+three-operator splitting (Davis & Yin 2017) solves the same problem
+exactly: the loss gradient, the same backtracked prox step and one singular
+value thresholding per iteration, with the adaptive step of Pedregosa &
+Gidel (2018) for both losses.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .penalty import pen_value, prox_l1_nonneg, prox_trace
 
 #: first step, backtracking factor and per-iteration step growth
 STEP0, SHRINK, GROWTH = 1.0, 0.5, 2.0
-#: PRISMA smooths the trace norm with beta_k = PRISMA_BETA0 / k
-PRISMA_BETA0 = 1.0
 #: the values of ``FitConfig.loss_kind``
 LOSS_KINDS = ("least-squares", "log-likelihood")
 
@@ -60,7 +60,7 @@ class FitResult:
     final_step: float
     #: the penalized objective at the returned (mu, A)
     final_objective: float
-    solver: str  # "fista" | "prisma"
+    solver: str  # "fista" | "split"
     #: no step taken from y = x raised the objective it minimises
     sufficient_decrease_ok: bool
 
@@ -92,12 +92,14 @@ def _within_tol(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _backtrack(smooth, weights, y_mu, y_A, f_y, g_mu, g_A, step):
+def _backtrack(smooth, weights, y_mu, y_A, f_y, g_mu, g_A, step, u_A=None):
     """Shrink step until the quadratic upper bound holds at the point of the
-    weighted-l1 + nonnegativity prox (a projection for zero weights)."""
+    weighted-l1 + nonnegativity prox (a projection for zero weights) of y
+    moved along the gradient, plus ``u_A`` on A (the bound reads no u_A)."""
+    s_A = g_A if u_A is None else g_A + u_A
     while True:
         x_mu = prox_l1_nonneg(y_mu - step * g_mu, weights.w, step)
-        x_A = prox_l1_nonneg(y_A - step * g_A, weights.W, step)
+        x_A = prox_l1_nonneg(y_A - step * s_A, weights.W, step)
         f_new = smooth(x_mu, x_A)[0]
         d_mu, d_A = x_mu - y_mu, x_A - y_A
         bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
@@ -119,7 +121,7 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     objective from rising, as an exact prox does.
     """
     if weights.tau > 0:
-        raise ValueError("fit_fista takes no trace norm; use fit_prisma")
+        raise ValueError("fit_fista takes no trace norm; use fit_split")
     x_mu, x_A = mu0.copy(), A0.copy()
     y_mu, y_A = x_mu.copy(), x_A.copy()
     t_mom = 1.0
@@ -130,11 +132,9 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     obj_prev = f0 + pen_value(x_mu, x_A, weights)
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
-    converged = False
     decrease_ok = True
     from_x = True
-    iters = 0
-    for k in range(config.max_iter):
+    for _ in range(config.max_iter):
         f_y, g_mu, g_A = smooth(y_mu, y_A)
         if not np.isfinite(f_y):
             # momentum overshot the feasible region; restart from x
@@ -148,7 +148,6 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
         trace.append(obj)
         if from_x:
             decrease_ok &= _within_tol(obj, obj_prev)
-        iters = k + 1
         if obj < best[2]:
             best = (xn_mu.copy(), xn_A.copy(), obj)
         from_x = obj > obj_prev
@@ -160,81 +159,74 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
             beta = (t_mom - 1.0) / t_new
             y_mu = xn_mu + beta * (xn_mu - x_mu)
             y_A = xn_A + beta * (xn_A - x_A)
-        if abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol:
-            converged = True
+        converged = bool(abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol)
+        if converged:
             break
         x_mu, x_A = xn_mu, xn_A
         t_mom = t_new
         obj_prev = obj
         trial = step * GROWTH
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
-                     iterations_used=iters, converged=converged,
+                     iterations_used=len(trace), converged=converged,
                      final_step=step, final_objective=best[2], solver="fista",
                      sufficient_decrease_ok=decrease_ok)
 
 
-def fit_prisma(smooth_loss: Callable, weights: PenaltyWeights,
-               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
-    """Three-term splitting for l1 + nonneg + trace-norm objectives.
-
-    The trace norm is replaced by its Moreau envelope with smoothing
-    beta_k = PRISMA_BETA0 / k (gradient computable via singular value
-    thresholding); the l1 + nonnegativity prox stays exact.  The best
-    iterate by the true (unsmoothed) objective is returned; it is a prox
-    point or the start, so it is nonnegative when the start is.
-    ``sufficient_decrease_ok`` says whether every step kept the
-    beta_k-smoothed objective plus l1 from rising, as an exact prox does.
+def fit_split(smooth: Callable, weights: PenaltyWeights,
+              mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
+    """Davis-Yin three-operator splitting with the adaptive step of
+    Pedregosa & Gidel: x is the backtracked weighted-l1 + nonnegativity
+    prox of z - step * (grad f(z) + u), z_A the singular value thresholding
+    of x_A + step * u, and u += (x - z) / step.  The trace norm acts on A
+    only, so z_mu = x_mu.  Returns the best x by penalized objective (it is
+    nonnegative); ``sufficient_decrease_ok`` says whether the first step, a
+    plain prox-gradient step (u = 0), kept loss + l1 from rising.
     """
-    tau = weights.tau
     l1 = replace(weights, tau=0.0)
-
-    x_mu, x_A = mu0.copy(), A0.copy()
-    trial = STEP0
-    f0 = smooth_loss(x_mu, x_A)[0]
-    if not np.isfinite(f0):
+    z_mu, z_A = mu0.copy(), A0.copy()
+    u_A = np.zeros_like(z_A)
+    f_z, g_mu, g_A = smooth(z_mu, z_A)
+    if not np.isfinite(f_z):
         raise LineSearchError("infeasible starting point")
-    obj_prev = f0 + pen_value(x_mu, x_A, weights)
-    best = (x_mu.copy(), x_A.copy(), obj_prev)
+    obj_prev = f_z + pen_value(z_mu, z_A, weights)
+    best = (z_mu, z_A, math.inf)
     trace = []
-    converged = False
-    decrease_ok = True
-    iters = 0
-    for k in range(1, config.max_iter + 1):
-        beta_k = PRISMA_BETA0 / k
-
-        def smooth_k(mu, A, _b=beta_k):
-            val, gmu, gA = smooth_loss(mu, A)
-            if not np.isfinite(val):
-                return val, gmu, gA
-            if tau > 0:
-                P = prox_trace(A, _b * tau)
-                R = A - P
-                val += tau * np.linalg.svd(P, compute_uv=False).sum() \
-                    + _sqnorm(np.zeros(0), R) / (2 * _b)
-                gA = gA + R / _b
-            return val, gmu, gA
-
-        f_x, g_mu, g_A = smooth_k(x_mu, x_A)
-        xn_mu, xn_A, f_new, step = _backtrack(
-            smooth_k, weights, x_mu, x_A, f_x, g_mu, g_A, trial)
-        decrease_ok &= _within_tol(f_new + pen_value(xn_mu, xn_A, l1),
-                                   f_x + pen_value(x_mu, x_A, l1))
-        obj = smooth_loss(xn_mu, xn_A)[0] + pen_value(xn_mu, xn_A, weights)
+    trial = STEP0
+    for k in range(config.max_iter):
+        x_mu, x_A, f_x, step = _backtrack(
+            smooth, weights, z_mu, z_A, f_z, g_mu, g_A, trial, u_A)
+        obj = f_x + pen_value(x_mu, x_A, weights)
         trace.append(obj)
-        iters = k
+        if k == 0:
+            decrease_ok = _within_tol(f_x + pen_value(x_mu, x_A, l1),
+                                      f_z + pen_value(z_mu, z_A, l1))
         if obj < best[2]:
-            best = (xn_mu.copy(), xn_A.copy(), obj)
-        if abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol:
-            converged = True
+            best = (x_mu, x_A, obj)
+        converged = bool(abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol)
+        if converged:
             break
-        x_mu, x_A = xn_mu, xn_A
         obj_prev = obj
-        trial = step * GROWTH
+        # a z outside the loss's domain (a log-likelihood intensity <= 0)
+        # is rebuilt from the same x and u with a shorter step
+        gamma, z_mu = step, x_mu
+        while True:
+            z_A = prox_trace(x_A + gamma * u_A, gamma * weights.tau)
+            f_z, g_mu, g_A = smooth(z_mu, z_A)
+            if np.isfinite(f_z):
+                break
+            gamma *= SHRINK
+            if gamma < 1e-16:
+                raise LineSearchError("no feasible z (step underflow)")
+        u_A = u_A + (x_A - z_A) / gamma
+        trial = gamma * GROWTH
     return FitResult(mu=best[0], A=best[1], objective_trace=trace,
-                     iterations_used=iters, converged=converged,
-                     final_step=step, final_objective=best[2],
-                     solver="prisma",
+                     iterations_used=len(trace), converged=converged,
+                     final_step=step, final_objective=best[2], solver="split",
                      sufficient_decrease_ok=decrease_ok)
+
+
+#: the name the trace-norm dispatch calls (perfbench/ wraps it)
+fit_prisma = fit_split
 
 
 def _make_loss_oracle(window: Window, loss_kind: str):
@@ -258,7 +250,9 @@ def _default_init(window: Window, loss_kind: str):
 
 def _solve(smooth: Callable, weights: PenaltyWeights, mu0: np.ndarray,
            A0: np.ndarray, config: FitConfig) -> FitResult:
-    """PRISMA when the weights carry a trace norm (tau > 0), else FISTA."""
+    """Three-operator splitting when the weights carry a trace norm
+    (tau > 0), else FISTA, which is accelerated and converges faster there.
+    The split is called by its name ``fit_prisma``."""
     solve = fit_prisma if weights.tau > 0 else fit_fista
     return solve(smooth, weights, mu0, A0, config)
 

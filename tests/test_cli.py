@@ -178,7 +178,7 @@ class TestFitEval:
                                                     capsys):
         events, _ = sim_files
         for proc, tau, solver in (("wL1", 0.0, "fista"),
-                                  ("wL1Nuclear", 0.02, "prisma")):
+                                  ("wL1Nuclear", 0.02, "split")):
             out_dir = str(tmp_path / proc)
             code, out, err = run_cli(capsys, "fit", "--events", events,
                                      "--procedure", proc, "--tau", "0.02",
@@ -454,3 +454,22 @@ class TestErrors:
         assert code == 1
         payload = json.loads(err)
         assert "error" in payload and "message" in payload
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--procedure", "wL1Nuclear", "--tau", "-0.5"),
+        ("fit", "--procedure", "L1", "--c1", "-1", "--c2", "-1"),
+        ("xval", "--procedure", "L1", "--c1-grid", "-1"),
+        ("weights", "--weighting", "practical", "--tau", "-2"),
+    ])
+    def test_negative_weights_rejected_before_writing(self, sim_files,
+                                                      tmp_path, capsys, argv):
+        events, _ = sim_files
+        out = tmp_path / "out"
+        dest = ("--out", str(out)) if argv[0] == "xval" \
+            else ("--out-dir", str(out))
+        code, stdout, err = run_cli(capsys, *argv, "--events", events, *dest)
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "penalty weights must be finite and >= 0"}
+        assert not out.exists()

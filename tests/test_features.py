@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hawkesnet import (EventData, ModelParams, Window, compute_stats,
-                       constant_weights,
+from hawkesnet import (EventData, ModelParams, PenaltyWeights, Window,
+                       compute_stats, constant_weights,
                        intensity_at, neg_log_likelihood_cached,
                        practical_weights,
                        theoretical_weights)
@@ -312,3 +312,28 @@ class TestConstantWeights:
         pw = constant_weights(3, 0.1, 0.2, tau=0.5)
         assert np.all(pw.w == 0.1) and np.all(pw.W == 0.2)
         assert pw.tau == 0.5
+
+
+class TestPenaltyWeightsValidation:
+    @pytest.mark.parametrize("w, W, tau", [
+        ([0.1, -0.1], np.zeros((2, 2)), 0.0),
+        ([0.1, 0.1], np.full((2, 2), -1.0), 0.0),
+        ([0.1, 0.1], np.zeros((2, 2)), -0.5),
+        ([0.1, np.nan], np.zeros((2, 2)), 0.0),
+        ([0.1, 0.1], np.full((2, 2), np.inf), 0.0),
+        ([0.1, 0.1], np.zeros((2, 2)), np.inf),
+    ])
+    def test_negative_or_nonfinite_rejected(self, w, W, tau):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PenaltyWeights(w=np.asarray(w), W=W, tau=tau)
+
+    def test_builders_pass_bad_constants_on(self):
+        with pytest.raises(ValueError):
+            constant_weights(2, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            practical_weights(stats_with_counts([5, 5], d=2, T=10.0),
+                              1.0, 1.0, tau=-2.0)
+
+    def test_zero_weights_accepted(self):
+        pw = constant_weights(2, 0.0, 0.0)
+        assert pw.tau == 0.0 and np.all(pw.w == 0) and np.all(pw.W == 0)

@@ -4,12 +4,14 @@ import pytest
 from hawkesnet import (CVResult, EventData, FitConfig, ModelParams,
                        PenaltyWeights, ScenarioConfig, SimConfig,
                        compute_stats, cross_validate,
-                       fit_hawkes, generate_scenario, pen_value,
+                       fit_hawkes, generate_scenario,
+                       mean_stationary_intensity, pen_value,
                        practical_weights, simulate)
 from hawkesnet import solver
 from hawkesnet.features import constant_weights
-from hawkesnet.solver import (LineSearchError, _make_loss_oracle, _solve,
-                              fit_fista, fit_prisma, heldout_loglik)
+from hawkesnet.solver import (LineSearchError, _default_init,
+                              _make_loss_oracle, _solve, fit_fista,
+                              fit_split, heldout_loglik)
 from tests.conftest import random_instance
 
 
@@ -128,14 +130,14 @@ class TestFitFista:
                       np.zeros(2), np.zeros((2, 2)), FitConfig())
 
 
-class TestFitPrisma:
+class TestFitSplit:
     def test_tau_zero_matches_fista(self):
         params, data = random_instance(7, d=2, horizon=80.0)
         w = constant_weights(2, 0.01, 0.01, tau=0.0)
         window = compute_stats(data, params.alpha)
         smooth = _make_loss_oracle(window, "least-squares")
         cfg = FitConfig(max_iter=300, tol=1e-12)
-        res_p = fit_prisma(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
+        res_p = fit_split(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
         res_f = fit_hawkes(window, w, cfg)
         obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A, w)
         obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A, w)
@@ -146,7 +148,7 @@ class TestFitPrisma:
         w = constant_weights(3, 0.01, 0.01, tau=0.05)
         res = fit_hawkes(compute_stats(data, params.alpha), w,
                          FitConfig(max_iter=100))
-        assert res.solver == "prisma"
+        assert res.solver == "split"
         assert np.all(res.A >= 0) and np.all(res.mu >= 0)
 
     def test_sufficient_decrease_computed(self, monkeypatch):
@@ -160,7 +162,7 @@ class TestFitPrisma:
                             lambda v, weights, step: np.maximum(v, 0.0))
         res = fit_hawkes(window, constant_weights(3, 10.0, 10.0, tau=0.05),
                          FitConfig(max_iter=5))
-        assert res.solver == "prisma"
+        assert res.solver == "split"
         assert not res.sufficient_decrease_ok
 
     def test_large_tau_drops_rank(self):
@@ -174,6 +176,66 @@ class TestFitPrisma:
         s_small = np.linalg.svd(small.A, compute_uv=False).sum()
         s_big = np.linalg.svd(big.A, compute_uv=False).sum()
         assert s_big <= s_small + 1e-10
+
+    @staticmethod
+    def quadratic(m, B):
+        """1/2 |mu - m|^2 + 1/2 |A - B|^2 and its gradient."""
+        def smooth(mu, A):
+            return (0.5 * np.sum((mu - m) ** 2) + 0.5 * np.sum((A - B) ** 2),
+                    mu - m, A - B)
+        return smooth
+
+    def test_permuted_diagonal_closed_form(self):
+        # l1 and trace norm both shrink the singular values b of P diag(b)
+        rng = np.random.default_rng(0)
+        d, w, W, tau = 5, 0.1, 0.2, 0.3
+        m = rng.normal(size=d)
+        b = rng.uniform(0.0, 2.0, d)
+        P = np.eye(d)[rng.permutation(d)]
+        weights = PenaltyWeights(w=np.full(d, w), W=np.full((d, d), W),
+                                 tau=tau)
+        res = fit_split(self.quadratic(m, P @ np.diag(b)), weights,
+                        np.zeros(d), np.zeros((d, d)),
+                        FitConfig(max_iter=500, tol=1e-14))
+        assert res.converged
+        assert np.abs(res.mu - np.maximum(m - w, 0.0)).max() < 1e-8
+        A_star = P @ np.diag(np.maximum(b - W - tau, 0.0))
+        assert np.abs(res.A - A_star).max() < 1e-8
+
+    def test_rank_one_closed_form(self):
+        # the trace norm alone shrinks the one singular value of a u v^T
+        rng = np.random.default_rng(1)
+        d, a, tau = 4, 2.0, 0.5
+        m = rng.normal(size=d)
+        u, v = rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d)
+        B = a * np.outer(u, v)
+        sigma = a * np.linalg.norm(u) * np.linalg.norm(v)
+        weights = PenaltyWeights(w=np.zeros(d), W=np.zeros((d, d)), tau=tau)
+        res = fit_split(self.quadratic(m, B), weights, np.zeros(d),
+                        np.zeros((d, d)), FitConfig(max_iter=500, tol=1e-14))
+        assert res.converged
+        assert np.abs(res.mu - np.maximum(m, 0.0)).max() < 1e-8
+        assert np.abs(res.A - max(1.0 - tau / sigma, 0.0) * B).max() < 1e-8
+
+    @pytest.mark.parametrize("seed", [106, 187])
+    def test_loglik_scenario_streams_fit(self, seed):
+        # the first 2000 events of a d=30 scenario stream of 4000 expected
+        # events: the l1 prox zeroes the baseline of a low-count node and
+        # an intensity nears 0; the fit must still lower the objective
+        params, _ = generate_scenario(ScenarioConfig(d=30, seed=seed))
+        T = 4000.0 / mean_stationary_intensity(params).sum()
+        data = simulate(SimConfig(params=params, horizon_T=T, seed=seed))
+        t_cut = np.sort(np.concatenate(data.events))[1999]
+        window = compute_stats(data.truncated(t_cut), params.alpha)
+        weights = practical_weights(window, 1.0, 1.0, 0.01)
+        cfg = FitConfig(loss_kind="log-likelihood")
+        res = fit_hawkes(window, weights, cfg)
+        assert np.all(np.isfinite(res.mu)) and np.all(np.isfinite(res.A))
+        assert res.mu.min() >= 0 and res.A.min() >= 0
+        mu0, A0 = _default_init(window, cfg.loss_kind)
+        start = _make_loss_oracle(window, cfg.loss_kind)(mu0, A0)[0] \
+            + pen_value(mu0, A0, weights)
+        assert res.final_objective < start
 
 
 class TestReportedFields:
