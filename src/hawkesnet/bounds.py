@@ -8,9 +8,10 @@ so the noise matrix
 
 is computable in closed form: it is -(T/2) times the least-squares
 gradient in A at the true parameters (no quadrature).  Each replication
-checks the observable deviation bounds; empirical violation rates are
-compared against the stated probability budgets with Wilson confidence
-intervals.
+checks the observable deviation bounds, which are half the theoretical
+weights (``features.theoretical_weights``) the estimator is penalised with;
+empirical violation rates are compared against the stated probability
+budgets with Wilson confidence intervals.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import TAU_LIN_A, TAU_LIN_B, W_A_LIN, Window, \
-    compute_stats, iterated_log_A, iterated_log_opnorm, opnorm_V1, opnorm_V2
+from .features import Window, compute_stats, theoretical_weights
 # precompute_gram is wrapped here by perfbench/
 from .loss import least_squares, precompute_gram  # noqa: F401
 from .model import EventData, ModelParams
@@ -85,21 +85,15 @@ def compute_noise(params_true: ModelParams, data: EventData) -> NoiseMatrices:
 
 
 def pointwise_bound_rhs(stats: Window, x: float) -> np.ndarray:
-    """Entrywise deviation bound on Z[j, k](T) / T (union over all pairs)."""
-    T, d = stats.horizon_T, stats.d
-    L = iterated_log_A(stats.Vhat, stats.B, x, T)
-    lev = x + 2 * math.log(d) + L
-    return 2 * math.sqrt(2) * np.sqrt(lev * stats.Vhat / T) \
-        + W_A_LIN / 2 * lev * stats.B / T
+    """Entrywise deviation bound on Z[j, k](T) / T (union over all pairs):
+    half the theoretical weights W."""
+    return theoretical_weights(stats, x).W / 2
 
 
 def opnorm_bound_rhs(stats: Window, x: float) -> float:
-    """Deviation bound on the operator norm of Z(T) / T."""
-    T, d = stats.horizon_T, stats.d
-    lev = x + math.log(d) + iterated_log_opnorm(stats, x)
-    vmax = max(opnorm_V1(stats), opnorm_V2(stats))
-    return 4 * math.sqrt(lev * vmax / T) + lev * (
-        TAU_LIN_A + TAU_LIN_B * stats.sup_H_2inf) / T
+    """Deviation bound on the operator norm of Z(T) / T: half the
+    theoretical trace-norm coefficient."""
+    return theoretical_weights(stats, x).tau / 2
 
 
 def wilson_interval(k: int, n: int, conf: float = 0.99) -> tuple:
@@ -117,7 +111,9 @@ def wilson_interval(k: int, n: int, conf: float = 0.99) -> tuple:
 
 def default_bound_params(d: int, mu: float = 0.5, coupling_opnorm: float = 0.5,
                          alpha: float = 1.0) -> ModelParams:
-    """Simple deterministic stationary parameters for bound checks."""
+    """The uniform model of the bound checks and of ``simulate``: every
+    baseline mu, every decay alpha, and a constant coupling matrix with
+    operator norm ``coupling_opnorm``."""
     A = np.full((d, d), coupling_opnorm / d)  # operator norm of ones(d) is d
     return ModelParams(mu=np.full(d, mu), A=A, alpha=np.full((d, d), alpha))
 

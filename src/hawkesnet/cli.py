@@ -18,10 +18,10 @@ import numpy as np
 from . import io
 from .bounds import check_opnorm_bound, check_pointwise_bound, \
     default_bound_params
-from .experiment import PENALTIES, PROCEDURES, ExperimentConfig, \
-    aggregate, run_experiment, write_aggregate_csv, write_rows_csv
-from .features import compute_stats, constant_weights, practical_weights, \
-    theoretical_weights
+from .experiment import ExperimentConfig, aggregate, run_experiment, \
+    write_aggregate_csv, write_rows_csv
+from .features import PROCEDURES, compute_stats, constant_weights, \
+    practical_weights, procedure_weights, theoretical_weights
 from .metrics import evaluate
 from .model import ModelParams, branching_matrix, spectral_radius
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
@@ -55,11 +55,9 @@ def cmd_simulate(args) -> int:
     if scenario:
         params, support = generate_scenario(io.from_json(ScenarioConfig, cfg))
     else:
-        d, a = cfg["d"], cfg["a"]
-        A = np.full((d, d), a / d) if a > 0 else np.zeros((d, d))
-        params = ModelParams(mu=np.full(d, cfg["mu"]), A=A,
-                             alpha=np.full((d, d), cfg["alpha"]))
-        support = A > 0
+        params = default_bound_params(cfg["d"], cfg["mu"], cfg["a"],
+                                      cfg["alpha"])
+        support = params.A > 0
     rho = spectral_radius(branching_matrix(params))
     if rho >= 1 and not args.allow_unstable:
         raise ValueError(
@@ -81,17 +79,12 @@ def cmd_fit(args) -> int:
     alpha = io.read_matrix_csv(args.alpha_file) if args.alpha_file \
         else np.full((d, d), args.alpha)
     window = compute_stats(data, alpha)
-    if args.procedure == "NoPen":
-        weights = constant_weights(d, 0.0, 0.0)
-    else:
-        weighting, use_trace = PENALTIES[args.procedure]
-        tau = args.tau if use_trace else 0.0
-        weights = practical_weights(window, args.c1, args.c2, tau) \
-            if weighting == "practical" \
-            else constant_weights(d, args.c1, args.c2, tau)
+    weights = procedure_weights(args.procedure, window, args.c1, args.c2,
+                                args.tau)
+    weighting = PROCEDURES[args.procedure][0]
     cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
     out_dir = io.ensure_dir(args.out_dir)
-    if args.procedure != "NoPen":
+    if weighting is not None:
         io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
         io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
         io.write_json({"tau": weights.tau, "mode": weighting},
@@ -122,10 +115,8 @@ def cmd_xval(args) -> int:
     d = data.d
     alpha = np.full((d, d), args.alpha)
     cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
-    weighting, use_trace = PENALTIES[args.procedure]
-    tau_grid = tuple(args.tau_grid) if use_trace else (0.0,)
-    cv = cross_validate(data, alpha, cfg, tuple(args.c1_grid),
-                        tuple(args.c2_grid), tau_grid, weighting=weighting)
+    cv = cross_validate(data, alpha, cfg, args.procedure, tuple(args.c1_grid),
+                        tuple(args.c2_grid), tuple(args.tau_grid))
     out = {"best": {"c1": cv.best[0], "c2": cv.best[1], "tau": cv.best[2]},
            "scores": [{"c1": c1, "c2": c2, "tau": t, "heldout_loglik": s}
                       for c1, c2, t, s in cv.scores]}
@@ -216,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a penalized Hawkes model")
     fit.add_argument("--events", required=True)
-    fit.add_argument("--procedure", default="wL1",
-                     choices=PROCEDURES)
+    fit.add_argument("--procedure", default="wL1", choices=list(PROCEDURES))
     fit.add_argument("--loss", default="least-squares", choices=LOSS_KINDS)
     fit.add_argument("--alpha", type=float, default=1.0)
     fit.add_argument("--alpha-file", help="CSV matrix of per-pair decays")
@@ -241,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     xv = sub.add_parser("xval", help="cross-validate penalty constants")
     xv.add_argument("--events", required=True)
     xv.add_argument("--procedure", default="wL1",
-                    choices=list(PENALTIES))
+                    choices=[p for p, (w, _) in PROCEDURES.items() if w])
     xv.add_argument("--loss", default="least-squares", choices=LOSS_KINDS)
     xv.add_argument("--alpha", type=float, default=1.0)
     xv.add_argument("--c1-grid", type=float, nargs="+", default=[1.0, 3.0, 10.0])

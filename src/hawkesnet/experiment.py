@@ -9,27 +9,17 @@ long-format table, one row per (procedure, horizon, replication).
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .features import compute_stats, constant_weights
+from .features import PROCEDURES, compute_stats, procedure_weights
 from .metrics import evaluate
 from .simulate import ScenarioConfig, generate_scenario, simulate_replication
 from .solver import FitConfig, cross_validate, fit_hawkes
-
-PROCEDURES = ("NoPen", "L1", "wL1", "L1Nuclear", "wL1Nuclear")
-
-#: (weighting, uses trace norm) per penalised procedure; NoPen fits with
-#: zero weights
-PENALTIES = {
-    "L1": ("constant", False),
-    "wL1": ("practical", False),
-    "L1Nuclear": ("constant", True),
-    "wL1Nuclear": ("practical", True),
-}
 
 
 @dataclass(frozen=True)
@@ -38,7 +28,7 @@ class ExperimentConfig:
     horizons: Tuple[float, ...]
     n_replications: int
     seed: int
-    procedures: Tuple[str, ...] = PROCEDURES
+    procedures: Tuple[str, ...] = tuple(PROCEDURES)
     loss_kind: str = "least-squares"
     c1_grid_weighted: Tuple[float, ...] = (1.0, 3.0, 10.0)
     c2_grid_weighted: Tuple[float, ...] = (1.0, 3.0, 10.0)
@@ -66,6 +56,27 @@ class ExperimentConfig:
         for p in self.procedures:
             if p not in PROCEDURES:
                 raise ValueError(f"unknown procedure {p!r}")
+        # practical_weights takes c's > 0, PenaltyWeights finite values >= 0
+        for p, (weighting, _) in PROCEDURES.items():
+            rules = (weighting == "practical",) * 2 + (False,)
+            for grid, positive in zip(self.grids(p) if weighting else (), rules):
+                if not grid or not all(math.isfinite(v) and (
+                        v > 0 if positive else v >= 0) for v in grid):
+                    raise ValueError(
+                        f"a grid of {p} must be nonempty, finite and "
+                        f"{'> 0' if positive else '>= 0'}; got {list(grid)}")
+
+    def grids(self, procedure: str) -> tuple:
+        """(c1_grid, c2_grid, tau_grid) that cross-validation tunes a
+        penalised procedure over."""
+        c1, c2 = {
+            "L1": (self.c1_grid_constant, self.c2_grid_constant),
+            "wL1": (self.c1_grid_weighted, self.c2_grid_weighted),
+            "L1Nuclear": (self.c1_grid_constant, self.c2_grid_constant),
+            "wL1Nuclear": (self.c1_grid_weighted_nuclear,
+                           self.c2_grid_weighted_nuclear),
+        }[procedure]
+        return c1, c2, self.tau_grid
 
 
 COLUMNS = ("procedure", "T", "rep", "error", "auc",
@@ -82,23 +93,13 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
             if procedure == "NoPen":
-                result = fit_hawkes(compute_stats(data, alpha),
-                                    constant_weights(params.d, 0.0, 0.0),
+                window = compute_stats(data, alpha)
+                result = fit_hawkes(window, procedure_weights("NoPen", window),
                                     fit_cfg)
                 c1 = c2 = tau = 0.0
             else:
-                weighting, use_trace = PENALTIES[procedure]
-                if weighting == "practical":
-                    c1_grid = cfg.c1_grid_weighted_nuclear if use_trace \
-                        else cfg.c1_grid_weighted
-                    c2_grid = cfg.c2_grid_weighted_nuclear if use_trace \
-                        else cfg.c2_grid_weighted
-                else:
-                    c1_grid = cfg.c1_grid_constant
-                    c2_grid = cfg.c2_grid_constant
-                tau_grid = cfg.tau_grid if use_trace else (0.0,)
-                cv = cross_validate(data, alpha, fit_cfg, c1_grid, c2_grid,
-                                    tau_grid, weighting=weighting)
+                cv = cross_validate(data, alpha, fit_cfg, procedure,
+                                    *cfg.grids(procedure))
                 result = cv.fit
                 c1, c2, tau = cv.best
             report = evaluate(result.mu, result.A, params.mu, params.A, support)

@@ -8,17 +8,21 @@ which is left-continuous (every event at exactly t excluded) and decays
 between events.  Rows of H with equal decay rows alpha[j, :] are equal, so
 ``excitation_states`` runs the exponential recursion (Ozaki 1979) once per
 distinct decay row, O(N * d) for N merged events.  ``compute_stats`` makes
-that one sweep per observation window and reduces its N x d states to a
-frozen ``Window``: the Gram integrals and event left limits both losses
-read, and the suprema and variation estimates the weights and the bounds
-read.  A uniform alpha has one distinct row: O(N * d) time and O(d^2)
-memory beyond the states and the left limits.
+that one sweep per observation window and reduces each row's N x d states,
+before it sweeps the next row, to a frozen ``Window``: the Gram integrals
+and event left limits both losses read, and the suprema and variation
+estimates the weights and the bounds read.  A uniform alpha has one
+distinct row: O(N * d) time and O(d^2) memory beyond the states and the
+left limits.
 
 ``PenaltyWeights`` (w, W, tau) is the whole penalty,
 w . |mu| + W . |A| + tau * ||A||_*, and the argument that
 ``solver.fit_hawkes`` takes with the window.  Theoretical, practical and
 constant weighting differ only in how they compute it; constant weights
-ignore the window's statistics.
+ignore the window's statistics.  A fitting procedure (``PROCEDURES``) is a
+weighting with or without the trace norm, and ``procedure_weights`` is its
+penalty.  The theoretical weights are twice the deviation bounds of the
+concentration inequality that ``bounds`` checks.
 """
 
 from __future__ import annotations
@@ -114,13 +118,6 @@ def excitation_states(data, decay_row) -> ExcitationStates:
                             seg=np.diff(times, append=data.horizon_T))
 
 
-def block_states(data, alpha):
-    """Excitation states per distinct row of alpha, and each row's block."""
-    rows, row_block = np.unique(np.asarray(alpha, dtype=float), axis=0,
-                                return_inverse=True)
-    return [excitation_states(data, a) for a in rows], row_block.reshape(-1)
-
-
 @dataclass(frozen=True)
 class Window:
     """Everything the weights, the bounds and both losses read of H on [0, T].
@@ -190,39 +187,47 @@ class PenaltyWeights:
 
 
 def compute_stats(data, alpha) -> Window:
-    """The window of ``data``: one ``block_states`` sweep, then array algebra."""
+    """The window of ``data``: one ``excitation_states`` sweep per distinct
+    decay row, each reduced before the next is swept, then array algebra."""
     d, T = data.d, data.horizon_T
-    states, row_block = block_states(data, alpha)
-    H = tuple(states[b].left[states[b].nodes == j]
-              for j, b in enumerate(row_block.tolist()))
-    nodes = states[0].nodes
-    idx = np.arange(nodes.size)
-    # per event n and block b: H[j, l_n](t_n-) and |H[j, :](t_n-)|^2, j in b
-    own = np.stack([s.left[idx, nodes] for s in states], axis=1)
-    sq = np.stack([np.einsum("nk,nk->n", s.left, s.left) for s in states],
-                  axis=1)
+    decays, row_block = np.unique(np.asarray(alpha, dtype=float), axis=0,
+                                  return_inverse=True)
+    row_block = row_block.reshape(-1)
+    H = [None] * d
+    own, sq, B, post_sq, G, int_H = [], [], [], [], [], []
+    for b, a in enumerate(decays):
+        s = excitation_states(data, a)
+        nodes = s.nodes
+        for j in np.flatnonzero(row_block == b).tolist():
+            H[j] = s.left[nodes == j]
+        # per event n: H[j, l_n](t_n-) and |H[j, :](t_n-)|^2 for j in block b
+        own.append(s.left[np.arange(nodes.size), nodes])
+        sq.append(np.einsum("nk,nk->n", s.left, s.left))
+        # H[:, k] jumps only at the events of node k, so its sup follows one
+        B.append(s.post.max(axis=0, initial=0.0))
+        post_sq.append(np.einsum("nk,nk->n", s.post, s.post).max(initial=0.0))
+        G.append(s.gram())
+        int_H.append(s.integral())
+        del s  # O(N * d) memory: one row's states at a time
+    own, sq = np.stack(own, axis=1), np.stack(sq, axis=1)
     h2inf_sq = sq.max(axis=1)
-    denom = sq[idx, row_block[nodes]]
+    denom = sq[np.arange(nodes.size), row_block[nodes]]
     ratio = np.divide(h2inf_sq, denom, out=np.zeros_like(denom),
                       where=denom > 0)
     Vhat2 = (own * ratio[:, None]).T @ own
-    # H[:, k] jumps only at the events of node k, so its sup follows one
-    B = np.stack([s.post.max(axis=0, initial=0.0) for s in states])
-    post_sq = max(np.einsum("nk,nk->n", s.post, s.post).max(initial=0.0)
-                  for s in states)
     return Window(
         horizon_T=T,
         counts=data.counts,
         row_block=row_block,
-        G=np.stack([s.gram() for s in states]) / T,
-        int_H=np.stack([s.integral() for s in states])[row_block],
+        G=np.stack(G) / T,
+        int_H=np.stack(int_H)[row_block],
         S=np.array([h.sum(axis=0) for h in H]) / T,
-        H_at_events=H,
-        B=B[row_block],
+        H_at_events=tuple(H),
+        B=np.stack(B)[row_block],
         Vhat=np.array([np.sum(h * h, axis=0) for h in H]) / T,
         Vhat1=np.bincount(nodes, weights=h2inf_sq, minlength=d) / T,
         Vhat2=Vhat2[np.ix_(row_block, row_block)] / T,
-        sup_H_2inf=math.sqrt(post_sq),
+        sup_H_2inf=math.sqrt(max(post_sq)),
     )
 
 
@@ -249,27 +254,6 @@ def iterated_log_A(Vhat, B, x: float, T: float) -> np.ndarray:
     return out
 
 
-def opnorm_V1(stats: Window) -> float:
-    """Operator norm of the diagonal matrix Vhat1."""
-    return float(stats.Vhat1.max()) if stats.Vhat1.size else 0.0
-
-
-def opnorm_V2(stats: Window) -> float:
-    # Vhat2 is symmetric PSD by construction (sum of scaled outer products)
-    return float(np.linalg.norm(stats.Vhat2, 2))
-
-
-def iterated_log_opnorm(stats: Window, x: float) -> float:
-    """Technical iterated-logarithm term entering the trace-norm coefficient."""
-    s2 = stats.sup_H_2inf ** 2
-    bump = 2 * (4 + s2 / 3) * x
-    return (
-        _loglog((2 * opnorm_V1(stats) + bump) / x)
-        + _loglog((2 * opnorm_V2(stats) + bump) / x)
-        + _loglog(s2)
-    )
-
-
 def theoretical_weights(stats: Window, x: float) -> PenaltyWeights:
     """Fully data-driven weights at confidence level x (natural logs)."""
     if x <= 0:
@@ -288,8 +272,14 @@ def theoretical_weights(stats: Window, x: float) -> PenaltyWeights:
     lev_A = x + 2 * log_d + L_jk
     W = W_A_SQRT * np.sqrt(lev_A * stats.Vhat / T) + W_A_LIN * lev_A * stats.B / T
 
-    ell = iterated_log_opnorm(stats, x)
-    vmax = max(opnorm_V1(stats), opnorm_V2(stats))
+    # operator norms of the diagonal Vhat1 and of the symmetric PSD Vhat2
+    v1 = float(stats.Vhat1.max()) if stats.Vhat1.size else 0.0
+    v2 = float(np.linalg.norm(stats.Vhat2, 2))
+    s2 = stats.sup_H_2inf ** 2
+    bump = 2 * (4 + s2 / 3) * x
+    ell = _loglog((2 * v1 + bump) / x) + _loglog((2 * v2 + bump) / x) \
+        + _loglog(s2)
+    vmax = max(v1, v2)
     lev = x + log_d + ell
     tau = TAU_SQRT * math.sqrt(lev * vmax / T) + 2 * lev * (
         TAU_LIN_A + TAU_LIN_B * stats.sup_H_2inf
@@ -320,3 +310,26 @@ def constant_weights(d: int, c1: float, c2: float,
                      tau: float = 0.0) -> PenaltyWeights:
     """Non-weighted l1 penalties: a single constant per block."""
     return PenaltyWeights(w=np.full(d, c1), W=np.full((d, d), c2), tau=tau)
+
+
+#: procedure -> (weighting, uses the trace norm); NoPen fits the zero penalty
+PROCEDURES = {
+    "NoPen": (None, False),
+    "L1": ("constant", False),
+    "wL1": ("practical", False),
+    "L1Nuclear": ("constant", True),
+    "wL1Nuclear": ("practical", True),
+}
+
+
+def procedure_weights(procedure: str, stats: Window, c1: float = 0.0,
+                      c2: float = 0.0, tau: float = 0.0) -> PenaltyWeights:
+    """The penalty of ``procedure`` with constants (c1, c2, tau): tau counts
+    only with the trace norm, and NoPen's penalty is zero."""
+    weighting, use_trace = PROCEDURES[procedure]
+    tau = tau if use_trace else 0.0
+    if weighting == "practical":
+        return practical_weights(stats, c1, c2, tau)
+    if weighting is None:
+        c1 = c2 = 0.0
+    return constant_weights(stats.d, c1, c2, tau)

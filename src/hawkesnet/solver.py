@@ -21,8 +21,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .features import PenaltyWeights, Window, compute_stats, \
-    constant_weights, practical_weights
+from .features import PROCEDURES, PenaltyWeights, Window, compute_stats, \
+    procedure_weights
 # build_loglik_cache and precompute_gram are wrapped here by perfbench/
 from .loss import build_loglik_cache, least_squares, \
     neg_log_likelihood_cached, precompute_gram  # noqa: F401
@@ -285,21 +285,23 @@ def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
                                                         clip).value
 
 
-def cross_validate(data, alpha, config: FitConfig,
+def cross_validate(data, alpha, config: FitConfig, procedure: str,
                    c1_grid: Sequence[float], c2_grid: Sequence[float],
-                   tau_grid: Sequence[float] = (0.0,),
-                   weighting: str = "practical") -> CVResult:
-    """Tune (c1, c2, tau) by a half/half time split of the window.
+                   tau_grid: Sequence[float] = (0.0,)) -> CVResult:
+    """Tune the constants (c1, c2, tau) of a penalised ``procedure``, tau = 0
+    without the trace norm, by a half/half time split of the window.
 
     Fits on [0, T/2], scores by log-likelihood on the re-based second half
     (cold start: the test window's excitation ignores pre-split events),
     then refits on the full window with the winning constants.  Each of the
     three windows is swept once.
     """
+    weighting, use_trace = PROCEDURES.get(procedure, (None, False))
+    if weighting is None:
+        raise ValueError(f"no penalty constants to tune for {procedure!r}")
+    tau_grid = tau_grid if use_trace else (0.0,)
     if not c1_grid or not c2_grid or not tau_grid:
         raise ValueError("grids must be nonempty")
-    if weighting not in ("practical", "constant"):
-        raise ValueError(f"unknown weighting {weighting!r}")
     T = data.horizon_T
     if T < 2:
         raise ValueError("window too short to split")
@@ -309,10 +311,8 @@ def cross_validate(data, alpha, config: FitConfig,
         raise ValueError("empty train or test half")
 
     def fit(window, c1, c2, tau):
-        weights = practical_weights(window, c1, c2, tau) \
-            if weighting == "practical" \
-            else constant_weights(window.d, c1, c2, tau)
-        return fit_hawkes(window, weights, config)
+        return fit_hawkes(window, procedure_weights(procedure, window, c1, c2,
+                                                    tau), config)
 
     train, test = compute_stats(train, alpha), compute_stats(test, alpha)
     scores = []

@@ -116,6 +116,25 @@ class TestBoundRhs:
                     + 9.31 * lev * stats.B / stats.horizon_T)
         assert pointwise_bound_rhs(stats, x) == pytest.approx(expected)
 
+    def test_opnorm_hand_formula(self):
+        params, data = random_instance(6, d=3, horizon=25.0)
+        stats = compute_stats(data, params.alpha)
+        x, T = 2.0, stats.horizon_T
+
+        def loglog(v):
+            return 2 * math.log(math.log(max(v, math.e)))
+
+        v1 = stats.Vhat1.max()
+        v2 = np.linalg.eigvalsh(stats.Vhat2).max()
+        s2 = stats.sup_H_2inf ** 2
+        bump = 2 * (4 + s2 / 3) * x
+        lev = x + math.log(3) + loglog((2 * v1 + bump) / x) \
+            + loglog((2 * v2 + bump) / x) + loglog(s2)
+        vmax = max(v1, v2)
+        expected = 4 * math.sqrt(lev * vmax / T) \
+            + lev * (10.34 + 2.65 * stats.sup_H_2inf) / T
+        assert opnorm_bound_rhs(stats, x) == pytest.approx(expected)
+
 
 class TestWilsonInterval:
     def test_contains_point_estimate(self):

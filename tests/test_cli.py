@@ -6,9 +6,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hawkesnet import ExperimentConfig, ScenarioConfig, generate_scenario
+from hawkesnet import ExperimentConfig, ScenarioConfig, compute_stats, \
+    fit_hawkes, generate_scenario, practical_weights
 from hawkesnet.cli import main
-from hawkesnet.io import read_events, read_matrix_csv, read_vector
+from hawkesnet.io import read_events, read_matrix_csv, read_vector, \
+    write_matrix_csv, write_vector
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -112,6 +114,16 @@ class TestSimulate:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_negative_coupling_rejected(self, tmp_path, capsys):
+        out_path = tmp_path / "n.json"
+        code, out, err = run_cli(capsys, "simulate", "--d", "2", "--a", "-0.5",
+                                 "--out", str(out_path))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "nonnegative" in payload["message"]
+        assert not out_path.exists()
+
     def test_deterministic_byte_identical(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         for path in (a, b):
@@ -135,6 +147,27 @@ class TestFitEval:
             assert os.path.exists(os.path.join(fit_dir, name))
         diag = json.loads(out)
         assert diag["sufficient_decrease_ok"]
+
+    def test_alpha_file_fits_per_pair_decays(self, sim_files, tmp_path,
+                                             capsys):
+        events, _ = sim_files
+        alpha = np.array([[0.5, 1.0, 2.0], [1.5, 0.7, 1.0], [0.5, 1.0, 2.0]])
+        alpha_file = str(tmp_path / "alpha.csv")
+        write_matrix_csv(alpha, alpha_file)
+        fit_dir = tmp_path / "fit"
+        code, _, err = run_cli(capsys, "fit", "--events", events,
+                               "--procedure", "wL1", "--c1", "0.5", "--c2",
+                               "0.5", "--alpha-file", alpha_file,
+                               "--out-dir", str(fit_dir))
+        assert code == 0, err
+        window = compute_stats(read_events(events), read_matrix_csv(alpha_file))
+        result = fit_hawkes(window, practical_weights(window, 0.5, 0.5))
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_vector(result.mu, str(lib / "mu_hat.csv"))
+        write_matrix_csv(result.A, str(lib / "A_hat.csv"))
+        for name in ("mu_hat.csv", "A_hat.csv"):
+            assert (fit_dir / name).read_bytes() == (lib / name).read_bytes()
 
     def test_constant_weights_fit_one_window(self, sim_files, tmp_path,
                                              capsys, monkeypatch):
@@ -397,6 +430,25 @@ class TestExperimentConfig:
         assert json.loads(err)["error"] == "ValueError"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bad", [{"c1_grid_constant": [-1.0]},
+                                     {"tau_grid": []},
+                                     {"c1_grid_weighted": [0.0]}])
+    def test_bad_grids_rejected_before_simulating(self, tmp_path, capsys,
+                                                  monkeypatch, bad):
+        import hawkesnet.experiment as experiment
+        simulated = []
+        simulate = experiment.simulate_replication
+        monkeypatch.setattr(experiment, "simulate_replication",
+                            lambda *a: simulated.append(1) or simulate(*a))
+        cfg = {"scenario": {"d": 5, "seed": 1}, "horizons": [30.0],
+               "n_replications": 1, "max_iter": 5, **bad}
+        code, out, err, out_dir = self._run(tmp_path, capsys, cfg)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "grid" in payload["message"]
+        assert not out_dir.exists() and simulated == []
+
     @pytest.fixture
     def built(self, monkeypatch):
         """The ExperimentConfig the command passes to run_experiment."""
@@ -430,6 +482,14 @@ class TestExperimentConfig:
         assert (cfg.scenario.d, cfg.scenario.seed) == (100, 42)
         assert cfg.horizons == (500.0, 1000.0, 2000.0, 5000.0)
         assert (cfg.n_replications, cfg.seed, cfg.jobs) == (10, 7, 1)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_every_config_builds(self, tmp_path, capsys, built, path):
+        code, _, err = run_cli(capsys, "experiment", "--config", str(path),
+                               "--out-dir", str(tmp_path))
+        assert code == 0, err
+        assert len(built) == 1
 
     @pytest.mark.parametrize("cfg, seeds", [
         ({"scenario": {"d": 6}, "horizons": [60.0], "n_replications": 1},

@@ -3,7 +3,8 @@ import pytest
 
 from hawkesnet import ExperimentConfig, aggregate, run_experiment
 from hawkesnet import experiment
-from hawkesnet.experiment import COLUMNS, PENALTIES
+from hawkesnet.experiment import COLUMNS
+from hawkesnet.features import PROCEDURES
 from hawkesnet.simulate import ScenarioConfig
 
 
@@ -57,10 +58,11 @@ class TestFitConfigBuilder:
         assert penalty.w.shape == (5,) and penalty.W.shape == (5, 5)
 
     def test_nuclear_enables_trace(self):
-        assert PENALTIES["wL1Nuclear"] == ("practical", True)
-        assert PENALTIES["L1Nuclear"] == ("constant", True)
-        assert PENALTIES["wL1"] == ("practical", False)
-        assert PENALTIES["L1"] == ("constant", False)
+        assert PROCEDURES["wL1Nuclear"] == ("practical", True)
+        assert PROCEDURES["L1Nuclear"] == ("constant", True)
+        assert PROCEDURES["wL1"] == ("practical", False)
+        assert PROCEDURES["L1"] == ("constant", False)
+        assert PROCEDURES["NoPen"] == (None, False)
 
 
 class TestRunExperiment:

@@ -308,8 +308,7 @@ class TestCrossValidate:
     def test_single_point_grid(self):
         params, data = random_instance(11, d=2, horizon=60.0)
         cfg = FitConfig(max_iter=60)
-        cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
-                            weighting="practical")
+        cv = cross_validate(data, params.alpha, cfg, "wL1", (0.5,), (0.5,))
         assert isinstance(cv, CVResult)
         assert cv.best == (0.5, 0.5, 0.0)
         assert len(cv.scores) == 1
@@ -318,35 +317,43 @@ class TestCrossValidate:
         # grid {tiny, huge}: huge forces theta = 0 which scores worse
         params, data = random_instance(12, d=2, horizon=120.0)
         cfg = FitConfig(max_iter=60)
-        cv = cross_validate(data, params.alpha, cfg, (0.5, 1e6), (0.5, 1e6),
-                            weighting="practical")
+        cv = cross_validate(data, params.alpha, cfg, "wL1", (0.5, 1e6),
+                            (0.5, 1e6))
         assert cv.best[0] == 0.5 and cv.best[1] == 0.5
 
     def test_empty_grid_rejected(self):
         params, data = random_instance(13, d=2, horizon=60.0)
         cfg = FitConfig()
         with pytest.raises(ValueError):
-            cross_validate(data, params.alpha, cfg, (), (0.5,))
+            cross_validate(data, params.alpha, cfg, "wL1", (), (0.5,))
 
     def test_constant_weighting_mode(self):
         params, data = random_instance(14, d=2, horizon=60.0)
         cfg = FitConfig(max_iter=60)
-        cv = cross_validate(data, params.alpha, cfg, (0.01, 0.03),
-                            (0.01, 0.03), weighting="constant")
+        cv = cross_validate(data, params.alpha, cfg, "L1", (0.01, 0.03),
+                            (0.01, 0.03))
         assert cv.best[0] in (0.01, 0.03)
         assert len(cv.scores) == 4
 
-    def test_unknown_weighting_rejected(self):
+    def test_unknown_procedure_rejected(self):
         params, data = random_instance(14, d=2, horizon=60.0)
         cfg = FitConfig()
-        with pytest.raises(ValueError):
-            cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
-                           weighting="theoretical")
+        for procedure in ("NoPen", "Lasso"):
+            with pytest.raises(ValueError):
+                cross_validate(data, params.alpha, cfg, procedure, (0.5,),
+                               (0.5,))
 
     def test_tau_grid_with_trace(self):
         params, data = random_instance(15, d=2, horizon=80.0)
         cfg = FitConfig(max_iter=60)
-        cv = cross_validate(data, params.alpha, cfg, (0.5,), (0.5,),
-                            tau_grid=(0.001, 0.1), weighting="practical")
+        cv = cross_validate(data, params.alpha, cfg, "wL1Nuclear", (0.5,),
+                            (0.5,), tau_grid=(0.001, 0.1))
         assert cv.best[2] in (0.001, 0.1)
         assert len(cv.scores) == 2
+
+    def test_tau_grid_ignored_without_trace(self):
+        params, data = random_instance(15, d=2, horizon=80.0)
+        cfg = FitConfig(max_iter=60)
+        cv = cross_validate(data, params.alpha, cfg, "wL1", (0.5,), (0.5,),
+                            tau_grid=(0.001, 0.1))
+        assert cv.best == (0.5, 0.5, 0.0) and len(cv.scores) == 1

@@ -5,10 +5,13 @@ per distinct decay row; with a uniform alpha that is once per window, so
 its calls count the windows each caller builds.
 """
 
+import weakref
+
+import numpy as np
 import pytest
 
 from hawkesnet import (FitConfig, SimConfig, check_opnorm_bound,
-                       check_pointwise_bound, cross_validate,
+                       check_pointwise_bound, compute_stats, cross_validate,
                        default_bound_params, simulate)
 from hawkesnet import features
 from hawkesnet.cli import main
@@ -42,11 +45,13 @@ def test_weighted_fit_sweeps_once(data, sweeps, tmp_path, capsys):
     assert len(sweeps) == 1
 
 
-@pytest.mark.parametrize("weighting", ["practical", "constant"])
+# one procedure per weighting, under the weighting's name
+@pytest.mark.parametrize("procedure", [pytest.param("wL1", id="practical"),
+                                       pytest.param("L1", id="constant")])
 def test_cross_validate_sweeps_train_test_and_full_once(data, sweeps,
-                                                        weighting):
-    cv = cross_validate(data, PARAMS.alpha, FitConfig(max_iter=10),
-                        (1.0, 3.0), (1.0,), weighting=weighting)
+                                                        procedure):
+    cv = cross_validate(data, PARAMS.alpha, FitConfig(max_iter=10), procedure,
+                        (1.0, 3.0), (1.0,))
     assert len(cv.scores) == 2
     assert len(sweeps) == 3
 
@@ -57,3 +62,21 @@ def test_bound_check_sweeps_each_replication_once(sweeps, check):
     report = check(PARAMS, 20.0, 6.0, 3, 0)
     assert report.n_reps == 3
     assert len(sweeps) == 3
+
+
+def test_per_pair_decays_keep_one_row_of_states(data, monkeypatch):
+    # each distinct decay row's N x d states are reduced before the next
+    # row is swept, so memory stays O(N * d) rather than O(N * d * rows)
+    alive, most = [], []
+    sweep = features.excitation_states
+
+    def tracked(*args):
+        most.append(sum(ref() is not None for ref in alive))
+        states = sweep(*args)
+        alive.append(weakref.ref(states))
+        return states
+
+    monkeypatch.setattr(features, "excitation_states", tracked)
+    alpha = np.random.default_rng(0).uniform(0.5, 2.0, (3, 3))
+    compute_stats(data, alpha)
+    assert len(alive) == 3 and max(most) == 0
