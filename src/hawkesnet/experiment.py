@@ -3,7 +3,10 @@
 One long simulation per replication is truncated to each horizon; each
 procedure is cross-validated per (replication, horizon) and scored against
 the ground truth by relative l2 error and support AUC.  Output is a
-long-format table, one row per (procedure, horizon, replication).
+long-format table, one row per (procedure, horizon, replication).  A fit
+that fails (a line search that cannot find a step, a window too short to
+split) fails its row only: the row names the failure and leaves every
+result field empty, and the study goes on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .features import PROCEDURES, compute_stats, procedure_weights
 from .metrics import evaluate
 from .simulate import ScenarioConfig, generate_scenario, simulate_replication
-from .solver import FitConfig, cross_validate, fit_hawkes
+from .solver import FitConfig, LineSearchError, cross_validate, fit_hawkes
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,23 @@ class ExperimentConfig:
         return c1, c2, self.tau_grid
 
 
+#: the row of one (procedure, horizon, replication); ``failure`` is empty
+#: for a fitted row, else the error that ended its fit, and then every
+#: field between ``rep`` and it is empty too
 COLUMNS = ("procedure", "T", "rep", "error", "auc",
-           "c1", "c2", "tau", "iterations", "converged")
+           "c1", "c2", "tau", "iterations", "converged", "failure")
+
+
+def _fit(cfg: ExperimentConfig, fit_cfg: FitConfig, data, alpha,
+         procedure: str):
+    """The estimate of ``procedure`` on ``data`` and its constants."""
+    if procedure == "NoPen":
+        window = compute_stats(data, alpha)
+        return fit_hawkes(window, procedure_weights("NoPen", window),
+                          fit_cfg), (0.0, 0.0, 0.0)
+    cv = cross_validate(data, alpha, fit_cfg, procedure,
+                        *cfg.grids(procedure))
+    return cv.fit, cv.best
 
 
 def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
@@ -92,23 +110,22 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
     for T in cfg.horizons:
         data = data_full.truncated(T)
         for procedure in cfg.procedures:
-            if procedure == "NoPen":
-                window = compute_stats(data, alpha)
-                result = fit_hawkes(window, procedure_weights("NoPen", window),
-                                    fit_cfg)
-                c1 = c2 = tau = 0.0
-            else:
-                cv = cross_validate(data, alpha, fit_cfg, procedure,
-                                    *cfg.grids(procedure))
-                result = cv.fit
-                c1, c2, tau = cv.best
+            row = {"procedure": procedure, "T": T, "rep": rep}
+            try:
+                result, (c1, c2, tau) = _fit(cfg, fit_cfg, data, alpha,
+                                             procedure)
+            except (LineSearchError, ValueError) as exc:
+                rows.append({**row, **dict.fromkeys(COLUMNS[3:-1]),
+                             "failure": f"{type(exc).__name__}: {exc}"})
+                continue
             report = evaluate(result.mu, result.A, params.mu, params.A, support)
             rows.append({
-                "procedure": procedure, "T": T, "rep": rep,
+                **row,
                 "error": report.rel_l2_error, "auc": report.auc,
                 "c1": c1, "c2": c2, "tau": tau,
                 "iterations": result.iterations_used,
                 "converged": result.converged,
+                "failure": None,
             })
     return rows
 
@@ -140,18 +157,25 @@ def write_rows_csv(rows: Sequence[dict], path: str) -> None:
 
 
 def aggregate(rows: Sequence[dict]) -> list:
-    """Mean error / AUC per (procedure, horizon)."""
+    """Per (procedure, horizon): n rows, n_failed of them failed, and the
+    mean error / AUC of the others (None when every row failed)."""
     keys = sorted({(r["procedure"], r["T"]) for r in rows},
                   key=lambda k: (k[1], k[0]))
     out = []
     for proc, T in keys:
         sel = [r for r in rows if r["procedure"] == proc and r["T"] == T]
+        fitted = [r for r in sel if not r.get("failure")]
+
+        def mean(key):
+            return float(np.mean([r[key] for r in fitted])) if fitted \
+                else None
         out.append({
             "procedure": proc,
             "T": T,
             "n": len(sel),
-            "mean_error": float(np.mean([r["error"] for r in sel])),
-            "mean_auc": float(np.mean([r["auc"] for r in sel])),
+            "n_failed": len(sel) - len(fitted),
+            "mean_error": mean("error"),
+            "mean_auc": mean("auc"),
         })
     return out
 
@@ -159,7 +183,8 @@ def aggregate(rows: Sequence[dict]) -> list:
 def write_aggregate_csv(agg: Sequence[dict], path: str) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=("procedure", "T", "n",
-                                               "mean_error", "mean_auc"))
+                                               "n_failed", "mean_error",
+                                               "mean_auc"))
         writer.writeheader()
         for row in agg:
             writer.writerow(row)

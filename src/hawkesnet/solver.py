@@ -95,12 +95,13 @@ def _within_tol(lhs: float, rhs: float) -> bool:
 def _backtrack(smooth, weights, y_mu, y_A, f_y, g_mu, g_A, step, u_A=None):
     """Shrink step until the quadratic upper bound holds at the point of the
     weighted-l1 + nonnegativity prox (a projection for zero weights) of y
-    moved along the gradient, plus ``u_A`` on A (the bound reads no u_A)."""
+    moved along the gradient, plus ``u_A`` on A (the bound reads no u_A).
+    A trial point asks the loss for its value only."""
     s_A = g_A if u_A is None else g_A + u_A
     while True:
         x_mu = prox_l1_nonneg(y_mu - step * g_mu, weights.w, step)
         x_A = prox_l1_nonneg(y_A - step * s_A, weights.W, step)
-        f_new = smooth(x_mu, x_A)[0]
+        f_new = smooth(x_mu, x_A, grad=False)[0]
         d_mu, d_A = x_mu - y_mu, x_A - y_A
         bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
         if np.isfinite(f_new) and _within_tol(f_new, bound):
@@ -114,7 +115,8 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Accelerated proximal gradient with backtracking and momentum restart.
 
-    ``smooth(mu, A) -> (value, grad_mu, grad_A)``; the weights carry no
+    ``smooth(mu, A, grad=True) -> (value, grad_mu, grad_A)``, with no
+    gradient (None) for ``grad=False``; the weights carry no
     trace norm (tau = 0), so their prox is exact.  Returns the best iterate
     by penalized objective.  ``sufficient_decrease_ok`` says whether every
     step from y = x (the first, and after each momentum restart) kept the
@@ -126,7 +128,7 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     y_mu, y_A = x_mu.copy(), x_A.copy()
     t_mom = 1.0
     trial = STEP0
-    f0 = smooth(x_mu, x_A)[0]
+    f0 = smooth(x_mu, x_A, grad=False)[0]
     if not np.isfinite(f0):
         raise LineSearchError("infeasible starting point")
     obj_prev = f0 + pen_value(x_mu, x_A, weights)
@@ -230,10 +232,10 @@ fit_prisma = fit_split
 
 
 def _make_loss_oracle(window: Window, loss_kind: str):
-    def smooth(mu, A):
+    def smooth(mu, A, grad=True):
         loss = least_squares if loss_kind == "least-squares" \
             else neg_log_likelihood_cached
-        out = loss(mu, A, window)
+        out = loss(mu, A, window, grad=grad)
         return out.value, out.grad_mu, out.grad_A
     return smooth
 
@@ -281,8 +283,8 @@ def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
     candidate; a node without held-out events contributes only its
     compensator.
     """
-    return -cache.horizon_T * neg_log_likelihood_cached(mu, A, cache,
-                                                        clip).value
+    return -cache.horizon_T * neg_log_likelihood_cached(
+        mu, A, cache, clip, grad=False).value
 
 
 def cross_validate(data, alpha, config: FitConfig, procedure: str,

@@ -1,8 +1,13 @@
+import csv
+import json
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from hawkesnet import ExperimentConfig, aggregate, run_experiment
-from hawkesnet import experiment
+from hawkesnet import experiment, solver
+from hawkesnet.cli import main
 from hawkesnet.experiment import COLUMNS
 from hawkesnet.features import PROCEDURES
 from hawkesnet.simulate import ScenarioConfig
@@ -90,3 +95,70 @@ class TestRunExperiment:
         assert by_proc["L1"]["mean_auc"] == pytest.approx(0.7)
         assert by_proc["L1"]["n"] == 2
         assert by_proc["NoPen"]["n"] == 1
+
+
+class TestFailedFits:
+    """A fit that fails is a row that says so; the study goes on."""
+
+    @staticmethod
+    def failing_grid_point(monkeypatch, c1):
+        # every L1 fit at constant c1 raises, the other grid point fits
+        fit = solver.fit_hawkes
+
+        def fit_or_fail(window, weights, config):
+            if weights.w[0] == c1:
+                raise solver.LineSearchError("line search failed (step "
+                                             "underflow)")
+            return fit(window, weights, config)
+
+        monkeypatch.setattr(solver, "fit_hawkes", fit_or_fail)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(
+        2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="only forked workers inherit the patched fit"))])
+    def test_study_finishes_and_counts_the_failure(self, monkeypatch,
+                                                   tmp_path, capsys, jobs):
+        self.failing_grid_point(monkeypatch, 0.03)
+        cfg = {"scenario": {"d": 5, "seed": 3}, "horizons": [50.0],
+               "n_replications": 2, "seed": 1, "procedures": ["NoPen", "L1"],
+               "c1_grid_constant": [0.01, 0.03], "c2_grid_constant": [0.01],
+               "max_iter": 30}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out-dir",
+                     str(out_dir), "--jobs", str(jobs)]) == 0
+        with open(out_dir / "results.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["procedure"] for r in rows] == ["NoPen", "L1"] * 2
+        for row in rows:
+            failed = row["procedure"] == "L1"
+            assert (row["failure"] == "LineSearchError: line search failed "
+                    "(step underflow)") if failed else row["failure"] == ""
+            for key in COLUMNS[3:-1]:
+                assert (row[key] == "") == failed
+        with open(out_dir / "aggregate.csv", newline="") as f:
+            agg = {r["procedure"]: r for r in csv.DictReader(f)}
+        assert agg["L1"]["n"] == "2" and agg["L1"]["n_failed"] == "2"
+        assert agg["L1"]["mean_error"] == agg["L1"]["mean_auc"] == ""
+        assert agg["NoPen"]["n_failed"] == "0"
+        assert float(agg["NoPen"]["mean_error"]) > 0
+        printed = {r["procedure"]: r for r in json.loads(
+            capsys.readouterr().out)}
+        assert printed["L1"]["n_failed"] == 2
+        assert printed["L1"]["mean_error"] is None
+
+    def test_aggregate_averages_the_fitted_rows_only(self):
+        rows = [
+            {"procedure": "L1", "T": 10.0, "error": 1.0, "auc": 0.6,
+             "failure": None},
+            {"procedure": "L1", "T": 10.0, "error": None, "auc": None,
+             "failure": "LineSearchError: no feasible z (step underflow)"},
+            {"procedure": "L1", "T": 10.0, "error": 3.0, "auc": 0.8,
+             "failure": None},
+        ]
+        (agg,) = aggregate(rows)
+        assert (agg["n"], agg["n_failed"]) == (3, 1)
+        assert agg["mean_error"] == 2.0
+        assert agg["mean_auc"] == pytest.approx(0.7)

@@ -168,7 +168,7 @@ class TestUniformDecaySweep:
 
     def test_one_block_matches_per_row_blocks(self):
         # every row of the perturbed decay is distinct and varies along
-        # the row, so it takes the chunked per-row path
+        # the row, so it takes the per-pair (two-GEMM) path
         params, data = random_instance(21, d=4, horizon=30.0)
         uni = np.full((4, 4), 0.9)
         per_row = uni + 1e-15 * np.arange(16).reshape(4, 4)

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from hawkesnet import (EventData, ModelParams, SimConfig, compute_stats,
                        default_bound_params, least_squares,
                        neg_log_likelihood_cached, simulate)
-from hawkesnet import features
 from hawkesnet.features import excitation_states
 from tests.conftest import random_instance
 
@@ -105,14 +104,20 @@ class TestPrecomputeGram:
             assert ga.block(j) == pytest.approx(gb.block(j), rel=1e-9)
         assert ga.S == pytest.approx(gb.S, rel=1e-12)
 
-    def test_chunked_sum_matches_single_chunk(self, monkeypatch):
-        _, data = random_instance(9, d=3, horizon=40.0)
-        states = excitation_states(data, [0.7, 1.1, 1.9])
-        monkeypatch.setattr(features, "GRAM_CHUNK", 10 ** 9)
-        whole = states.gram()
-        for chunk in (9 * 5, 1):  # five events per chunk, then one
-            monkeypatch.setattr(features, "GRAM_CHUNK", chunk)
-            assert states.gram() == pytest.approx(whole, rel=1e-12)
+    @pytest.mark.parametrize("data", [
+        random_instance(9, d=3, horizon=40.0)[1],
+        # cross-node ties at t = 2 and t = 4, and node 2 without events
+        EventData(6.0, (np.array([1.0, 2.0, 2.5, 4.0]),
+                        np.array([2.0, 3.0, 4.0]), np.empty(0)))],
+        ids=["simulated", "ties-and-empty-node"])
+    def test_per_pair_gram_matches_per_event_sum(self, data):
+        a = np.array([0.7, 1.1, 1.9])
+        states = excitation_states(data, a)
+        asum = a[:, None] + a[None, :]
+        expected = np.zeros((3, 3))
+        for y, s in zip(states.post, states.seg):
+            expected += np.outer(y, y) * (-np.expm1(-asum * s) / asum)
+        assert states.gram() == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_decay_at_d200_holds_no_cube(self):
         d = 200
@@ -236,3 +241,101 @@ class TestNegLogLikelihood:
                    + (1 - lam) * neg_log_likelihood_cached(m2, A2,
                                                            cache).value)
             assert lhs <= rhs + 1e-10
+
+
+def nll_reference(mu, A, window, clip=0.0):
+    """The log-likelihood as a loop over nodes, one node's events at a
+    time: (value, grad_mu, grad_A), value +inf at an infeasible point."""
+    d, T = window.d, window.horizon_T
+    value, grad_mu, grad_A = 0.0, np.zeros(d), np.zeros((d, d))
+    for j in range(d):
+        H = window.H_at_events[j]
+        lam = mu[j] + H @ A[j] if H.size else np.empty(0)
+        if clip > 0:
+            lam = np.maximum(lam, clip)
+        elif np.any(lam <= 0):
+            return np.inf, None, None
+        compensator = mu[j] * T + float(A[j] @ window.int_H[j])
+        value -= float(np.log(lam).sum()) - compensator
+        inv = 1.0 / lam if lam.size else lam
+        grad_mu[j] = -(float(inv.sum()) - T)
+        grad_A[j] = -((H.T @ inv if H.size else 0.0) - window.int_H[j])
+    return value / T, grad_mu / T, grad_A / T
+
+
+def _tied_data():
+    # cross-node ties at t = 1 and t = 3, node 3 without events
+    return EventData(8.0, (np.array([0.5, 1.0, 3.0, 6.0]),
+                           np.array([1.0, 2.0, 3.0, 7.5]),
+                           np.array([3.0, 5.0]), np.empty(0)))
+
+
+def _alphas(d):
+    rng = np.random.default_rng(d)
+    two_rows = np.ones((d, d))
+    two_rows[::2] = 1.7
+    return {"uniform": np.full((d, d), 1.3), "two-blocks": two_rows,
+            "per-pair": rng.uniform(0.5, 2.0, (d, d))}
+
+
+class TestArrayLogLikelihood:
+    """The array program against the per-node loop it replaces."""
+
+    CASES = [(name, data_fn) for name in ("uniform", "two-blocks", "per-pair")
+             for data_fn in ("simulated", "tied")]
+
+    @staticmethod
+    def window(name, data_fn):
+        if data_fn == "tied":
+            data = _tied_data()
+        else:
+            _, data = random_instance(31, d=4, horizon=30.0)
+        window = compute_stats(data, _alphas(data.d)[name])
+        assert len(window.G) == {"uniform": 1, "two-blocks": 2,
+                                 "per-pair": data.d}[name]
+        return window
+
+    @staticmethod
+    def assert_matches(out, ref):
+        value, grad_mu, grad_A = ref
+        assert out.value == pytest.approx(value, rel=1e-13)
+        assert out.grad_mu == pytest.approx(grad_mu, rel=1e-13)
+        assert np.array_equal(out.grad_A, grad_A)
+
+    @pytest.mark.parametrize("name,data_fn", CASES)
+    @pytest.mark.parametrize("clip", [0.0, 0.3])
+    def test_matches_node_loop(self, name, data_fn, clip):
+        window = self.window(name, data_fn)
+        rng = np.random.default_rng(5)
+        d = window.d
+        # node 0's baseline below the clip, so the floor acts
+        mu = np.append(0.05, rng.uniform(0.2, 1.0, d - 1))
+        A = rng.uniform(0.0, 0.3, (d, d)) * (rng.uniform(size=(d, d)) < 0.6)
+        out = neg_log_likelihood_cached(mu, A, window, clip)
+        self.assert_matches(out, nll_reference(mu, A, window, clip))
+
+    @pytest.mark.parametrize("name,data_fn", CASES)
+    def test_infeasible_point(self, name, data_fn):
+        window = self.window(name, data_fn)
+        d = window.d
+        mu = np.full(d, 0.5)
+        mu[0] = 0.0  # with A = 0 every event of node 0 has lambda = 0
+        out = neg_log_likelihood_cached(mu, np.zeros((d, d)), window)
+        assert out.value == np.inf == nll_reference(
+            mu, np.zeros((d, d)), window)[0]
+        assert out.grad_mu is None and out.grad_A is None
+
+    @pytest.mark.parametrize("name,data_fn", CASES)
+    @pytest.mark.parametrize("loss", [least_squares,
+                                      neg_log_likelihood_cached])
+    def test_value_only_is_the_same_value(self, name, data_fn, loss):
+        window = self.window(name, data_fn)
+        rng = np.random.default_rng(6)
+        d = window.d
+        mu = rng.uniform(0.2, 1.0, d)
+        A = rng.uniform(0.0, 0.3, (d, d))
+        full = loss(mu, A, window)
+        value_only = loss(mu, A, window, grad=False)
+        assert value_only.value == full.value
+        assert value_only.grad_mu is None and value_only.grad_A is None
+        assert full.grad_mu.shape == (d,) and full.grad_A.shape == (d, d)

@@ -58,8 +58,8 @@ class TestFitFista:
         smooth = _make_loss_oracle(compute_stats(data, params.alpha),
                                    "least-squares")
 
-        def checked_smooth(mu, A):
-            out = smooth(mu, A)
+        def checked_smooth(mu, A, grad=True):
+            out = smooth(mu, A, grad)
             accepted.append((mu.copy(), A.copy(), out[0]))
             return out
 
@@ -180,7 +180,7 @@ class TestFitSplit:
     @staticmethod
     def quadratic(m, B):
         """1/2 |mu - m|^2 + 1/2 |A - B|^2 and its gradient."""
-        def smooth(mu, A):
+        def smooth(mu, A, grad=True):
             return (0.5 * np.sum((mu - m) ** 2) + 0.5 * np.sum((A - B) ** 2),
                     mu - m, A - B)
         return smooth
@@ -357,3 +357,53 @@ class TestCrossValidate:
         cv = cross_validate(data, params.alpha, cfg, "wL1", (0.5,), (0.5,),
                             tau_grid=(0.001, 0.1))
         assert cv.best == (0.5, 0.5, 0.0) and len(cv.scores) == 1
+
+
+class TestGradientRequests:
+    """Line-search trials ask the loss for its value only."""
+
+    @staticmethod
+    def counted(window, loss_kind, calls):
+        smooth = _make_loss_oracle(window, loss_kind)
+
+        def counted_smooth(mu, A, grad=True):
+            out = smooth(mu, A, grad)
+            calls.append((grad, bool(np.isfinite(out[0]))))
+            assert (out[1] is None) == (not grad or not np.isfinite(out[0]))
+            return out
+        return counted_smooth
+
+    @pytest.mark.parametrize("loss_kind", ["least-squares", "log-likelihood"])
+    @pytest.mark.parametrize("tau", [0.0, 0.05])
+    def test_one_gradient_per_iteration(self, loss_kind, tau):
+        params, data = random_instance(8, d=3, horizon=60.0)
+        window = compute_stats(data, params.alpha)
+        calls = []
+        res = _solve(self.counted(window, loss_kind, calls),
+                     constant_weights(3, 0.01, 0.01, tau=tau),
+                     *_default_init(window, loss_kind), FitConfig(max_iter=50))
+        # a gradient at an infeasible point (a restarted FISTA momentum
+        # step, a rebuilt split z) is not one, and None is returned
+        gradients = sum(finite for grad, finite in calls if grad)
+        if tau == 0:  # FISTA: one y per iteration, the start value only
+            assert gradients == res.iterations_used
+        else:  # split: the start, then one z per iteration but the last
+            assert gradients <= res.iterations_used + 1
+        assert sum(not grad for grad, _ in calls) >= res.iterations_used
+
+    def test_heldout_loglik_asks_no_gradient(self, monkeypatch):
+        params, data = random_instance(15, d=2, horizon=80.0)
+        grads = []
+        nll = solver.neg_log_likelihood_cached
+
+        def recorded(*args, **kwargs):
+            out = nll(*args, **kwargs)
+            grads.append(out.grad_A)
+            return out
+
+        monkeypatch.setattr(solver, "neg_log_likelihood_cached", recorded)
+        cv = cross_validate(data, params.alpha, FitConfig(max_iter=30),
+                            "wL1Nuclear", (0.5, 1.0), (0.5,),
+                            tau_grid=(0.01,))
+        assert len(grads) == len(cv.scores) == 2
+        assert all(g is None for g in grads)
