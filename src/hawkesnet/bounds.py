@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -98,10 +99,9 @@ def opnorm_bound_rhs(stats: Window, x: float) -> float:
 
 def wilson_interval(k: int, n: int, conf: float = 0.99) -> tuple:
     """Wilson score interval for a binomial proportion."""
-    from scipy.stats import norm
     if n <= 0:
         raise ValueError("n must be positive")
-    z = float(norm.ppf(1 - (1 - conf) / 2))
+    z = NormalDist().inv_cdf(1 - (1 - conf) / 2)
     p = k / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

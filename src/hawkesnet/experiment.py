@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("horizons must be increasing")
         if self.n_replications < 1:
             raise ValueError("n_replications must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         for p in self.procedures:
             if p not in PROCEDURES:
                 raise ValueError(f"unknown procedure {p!r}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass(frozen=True)
@@ -55,13 +54,17 @@ def auc_score(A_hat, support_true) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ground truth support must contain both classes")
-    ranks = rankdata(scores)  # average ranks handle ties with 1/2 credit
+    # average ranks: a tie group's is its cumulative count - (count - 1) / 2
+    _, group, n = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(n) - (n - 1) / 2)[group]
     auc = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return float(auc)
 
 
 def evaluate(mu_hat, A_hat, mu_true, A_true, support_true) -> EvalReport:
     A_hat = np.asarray(A_hat, dtype=float)
+    if not (np.all(np.isfinite(mu_hat)) and np.all(np.isfinite(A_hat))):
+        raise ValueError("estimate must be finite")
     return EvalReport(
         rel_l2_error=relative_error(mu_hat, A_hat, mu_true, A_true),
         auc=auc_score(A_hat, support_true),

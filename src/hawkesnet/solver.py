@@ -117,8 +117,10 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
 
     ``smooth(mu, A, grad=True) -> (value, grad_mu, grad_A)``, with no
     gradient (None) for ``grad=False``; the weights carry no
-    trace norm (tau = 0), so their prox is exact.  Returns the best iterate
-    by penalized objective.  ``sufficient_decrease_ok`` says whether every
+    trace norm (tau = 0), so their prox is exact.  One call at the start
+    gives the value and the gradient the first iteration steps from.
+    Returns the best iterate by penalized objective.
+    ``sufficient_decrease_ok`` says whether every
     step from y = x (the first, and after each momentum restart) kept the
     objective from rising, as an exact prox does.
     """
@@ -128,16 +130,17 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     y_mu, y_A = x_mu.copy(), x_A.copy()
     t_mom = 1.0
     trial = STEP0
-    f0 = smooth(x_mu, x_A, grad=False)[0]
-    if not np.isfinite(f0):
+    f_y, g_mu, g_A = smooth(x_mu, x_A)
+    if not np.isfinite(f_y):
         raise LineSearchError("infeasible starting point")
-    obj_prev = f0 + pen_value(x_mu, x_A, weights)
+    obj_prev = f_y + pen_value(x_mu, x_A, weights)
     best = (x_mu.copy(), x_A.copy(), obj_prev)
     trace = []
     decrease_ok = True
     from_x = True
-    for _ in range(config.max_iter):
-        f_y, g_mu, g_A = smooth(y_mu, y_A)
+    for k in range(config.max_iter):
+        if k:
+            f_y, g_mu, g_A = smooth(y_mu, y_A)
         if not np.isfinite(f_y):
             # momentum overshot the feasible region; restart from x
             y_mu, y_A = x_mu.copy(), x_A.copy()

@@ -1,11 +1,14 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import hawkesnet
 from hawkesnet import ExperimentConfig, ScenarioConfig, compute_stats, \
     fit_hawkes, generate_scenario, practical_weights
 from hawkesnet.cli import main
@@ -260,6 +263,23 @@ class TestFitEval:
         assert code == 0
         assert json.loads(out)["auc"] == pytest.approx(2.5 / 3)
 
+    def test_eval_non_finite_estimate_exits_1(self, tmp_path, capsys):
+        write_vector([0.1, 0.1], str(tmp_path / "mu.csv"))
+        write_matrix_csv([[np.nan, 0.5], [0.2, 0.1]], str(tmp_path / "Ah.csv"))
+        write_matrix_csv([[1.0, 0.0], [0.0, 0.0]], str(tmp_path / "At.csv"))
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys, "eval",
+            "--mu-hat", str(tmp_path / "mu.csv"),
+            "--A-hat", str(tmp_path / "Ah.csv"),
+            "--mu-true", str(tmp_path / "mu.csv"),
+            "--A-true", str(tmp_path / "At.csv"),
+            "--out", str(report))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "estimate must be finite"}
+        assert not report.exists()
+
 
 class TestXvalWeights:
     def test_xval_returns_grid_point(self, sim_files, tmp_path, capsys):
@@ -389,12 +409,12 @@ class TestExperiment:
 
 
 class TestExperimentConfig:
-    def _run(self, tmp_path, capsys, cfg):
+    def _run(self, tmp_path, capsys, cfg, *argv):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out_dir = tmp_path / "out"
         code, out, err = run_cli(capsys, "experiment", "--config", str(path),
-                                 "--out-dir", str(out_dir))
+                                 "--out-dir", str(out_dir), *argv)
         return code, out, err, out_dir
 
     def test_misspelt_keys_rejected(self, tmp_path, capsys):
@@ -417,6 +437,15 @@ class TestExperimentConfig:
         code, out, err, out_dir = self._run(tmp_path, capsys, cfg)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        code, out, err, out_dir = self._run(tmp_path, capsys, EXP_CONFIG,
+                                            "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "jobs must be >= 1"}
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("bad", [{"loss_kind": "least-square"},
@@ -533,3 +562,56 @@ class TestErrors:
             "error": "ValueError",
             "message": "penalty weights must be finite and >= 0"}
         assert not out.exists()
+
+
+#: runs every subcommand with scipy unimportable and prints their exit codes
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from hawkesnet.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestRuntimeNeedsNoScipy:
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        def path(name):
+            return str(tmp_path / name)
+
+        config = {"scenario": {"d": 5, "seed": 1}, "horizons": [40.0],
+                  "n_replications": 1, "seed": 3, "max_iter": 20,
+                  "c1_grid_weighted": [1.0, 3.0],
+                  "c2_grid_weighted": [1.0, 3.0],
+                  "c1_grid_weighted_nuclear": [0.3, 1.0],
+                  "c2_grid_weighted_nuclear": [0.3, 1.0],
+                  "c1_grid_constant": [0.01, 0.03],
+                  "c2_grid_constant": [0.01, 0.03],
+                  "tau_grid": [0.01, 0.03]}
+        (tmp_path / "exp.json").write_text(json.dumps(config))
+        commands = [
+            ["simulate", "--scenario", "--d", "6", "--T", "60", "--seed", "2",
+             "--out", path("ev.json"), "--params-out", path("truth")],
+            ["weights", "--events", path("ev.json"), "--out-dir", path("w")],
+            ["fit", "--events", path("ev.json"), "--procedure", "wL1Nuclear",
+             "--max-iter", "20", "--out-dir", path("fit")],
+            ["xval", "--events", path("ev.json"), "--c1-grid", "1", "3",
+             "--c2-grid", "1", "--max-iter", "20"],
+            ["eval", "--mu-hat", path("fit/mu_hat.csv"),
+             "--A-hat", path("fit/A_hat.csv"),
+             "--mu-true", path("truth/mu.csv"),
+             "--A-true", path("truth/A.csv"),
+             "--support", path("truth/support.csv"), "--out", path("r.json")],
+            ["check-bounds", "--which", "pointwise", "--reps", "20"],
+            ["check-bounds", "--which", "opnorm", "--reps", "20"],
+            ["experiment", "--config", path("exp.json"),
+             "--out-dir", path("exp")],
+        ]
+        src = str(pathlib.Path(hawkesnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(commands), proc.stderr

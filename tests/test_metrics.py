@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from hawkesnet import auc_score, evaluate, relative_error
 
@@ -57,6 +58,20 @@ class TestAucScore:
         sup = np.array([[True, False], [False, False]])
         assert auc_score(A, sup) == pytest.approx(2.5 / 3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_rankdata_with_ties(self, seed):
+        # integer-valued scores in few levels: most entries are tied
+        rng = np.random.default_rng(seed)
+        A = rng.integers(0, 4, (5, 5)).astype(float)
+        sup = rng.uniform(size=(5, 5)) < 0.3
+        sup[0, 0], sup[4, 4] = True, False
+        ranks = rankdata(A.ravel())
+        n_pos = int(sup.sum())
+        n_neg = sup.size - n_pos
+        expected = float((ranks[sup.ravel()].sum() - n_pos * (n_pos + 1) / 2)
+                         / (n_pos * n_neg))
+        assert auc_score(A, sup) == expected
+
     def test_constant_matrix_half(self):
         A = np.full((2, 2), 0.7)
         sup = np.array([[True, False], [False, False]])
@@ -100,3 +115,13 @@ class TestEvaluate:
         assert set(rep.as_dict()) == {"rel_l2_error", "auc",
                                       "support_size_true",
                                       "support_size_est_at_threshold"}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["mu", "A"])
+    def test_non_finite_estimate_rejected(self, bad, where):
+        mu_t = np.array([0.1, 0.2])
+        A_t = np.array([[0.3, 0.0], [0.0, 0.4]])
+        mu_h, A_h = mu_t.copy(), A_t.copy()
+        (mu_h if where == "mu" else A_h)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(mu_h, A_h, mu_t, A_t, A_t > 0)

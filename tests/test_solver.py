@@ -121,6 +121,24 @@ class TestFitFista:
             _solve(smooth, zero_weights(2), np.zeros(2), np.zeros((2, 2)),
                    cfg)
 
+    @pytest.mark.parametrize("loss_kind", ["least-squares", "log-likelihood"])
+    def test_start_evaluated_once(self, loss_kind):
+        # one call gives the start's value and the first iteration's gradient
+        params, data = random_instance(8, d=3, horizon=60.0)
+        window = compute_stats(data, params.alpha)
+        mu0, A0 = _default_init(window, loss_kind)
+        smooth = _make_loss_oracle(window, loss_kind)
+        at_start = []
+
+        def counted(mu, A, grad=True):
+            at_start.append(np.array_equal(mu, mu0) and np.array_equal(A, A0))
+            return smooth(mu, A, grad)
+
+        res = fit_fista(counted, zero_weights(3), mu0, A0,
+                        FitConfig(loss_kind=loss_kind, max_iter=20))
+        assert res.iterations_used > 1
+        assert sum(at_start) == 1
+
     def test_rejects_trace_norm(self):
         params, data = random_instance(6, d=2, horizon=30.0)
         smooth = _make_loss_oracle(compute_stats(data, params.alpha),
