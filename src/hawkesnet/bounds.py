@@ -17,7 +17,7 @@ budgets with Wilson confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -53,15 +53,8 @@ class BoundReport:
     wilson_ci: tuple
 
     def as_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "x": self.x,
-            "n_reps": self.n_reps,
-            "violation_count": self.violation_count,
-            "stated_bound": self.stated_bound,
-            "empirical_rate": self.empirical_rate,
-            "wilson_ci": list(self.wilson_ci),
-        }
+        """The fields and ``holds``."""
+        return {**asdict(self), "holds": self.holds}
 
     @property
     def holds(self) -> bool:

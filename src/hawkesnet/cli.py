@@ -19,11 +19,11 @@ from . import io
 from .bounds import check_opnorm_bound, check_pointwise_bound, \
     default_bound_params
 from .experiment import ExperimentConfig, aggregate, run_experiment, \
-    write_aggregate_csv, write_rows_csv
+    write_csv
 from .features import PROCEDURES, compute_stats, constant_weights, \
     practical_weights, procedure_weights, theoretical_weights
 from .metrics import evaluate
-from .model import ModelParams, branching_matrix, spectral_radius
+from .model import ModelParams
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
 from .solver import LOSS_KINDS, FitConfig, cross_validate, fit_hawkes
 
@@ -58,10 +58,6 @@ def cmd_simulate(args) -> int:
         params = default_bound_params(cfg["d"], cfg["mu"], cfg["a"],
                                       cfg["alpha"])
         support = params.A > 0
-    rho = spectral_radius(branching_matrix(params))
-    if rho >= 1 and not args.allow_unstable:
-        raise ValueError(
-            f"spectral radius {rho:.3f} >= 1; pass --allow-unstable to proceed")
     sim = SimConfig(params=params, horizon_T=T, seed=cfg["seed"],
                     max_events=args.max_events)
     data = simulate(sim)
@@ -83,13 +79,13 @@ def cmd_fit(args) -> int:
                                 args.tau)
     weighting = PROCEDURES[args.procedure][0]
     cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
+    result = fit_hawkes(window, weights, cfg)
     out_dir = io.ensure_dir(args.out_dir)
     if weighting is not None:
         io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
         io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
         io.write_json({"tau": weights.tau, "mode": weighting},
                       os.path.join(out_dir, "weights_meta.json"))
-    result = fit_hawkes(window, weights, cfg)
     io.write_vector(result.mu, os.path.join(out_dir, "mu_hat.csv"))
     io.write_matrix_csv(result.A, os.path.join(out_dir, "A_hat.csv"))
     io.write_json(result.as_dict(), os.path.join(out_dir, "diagnostics.json"))
@@ -159,9 +155,9 @@ def cmd_experiment(args) -> int:
     cfg = io.from_json(ExperimentConfig, {**cfg, "jobs": args.jobs})
     out_dir = io.ensure_dir(args.out_dir)
     rows = run_experiment(cfg)
-    write_rows_csv(rows, os.path.join(out_dir, "results.csv"))
+    write_csv(rows, os.path.join(out_dir, "results.csv"))
     agg = aggregate(rows)
-    write_aggregate_csv(agg, os.path.join(out_dir, "aggregate.csv"))
+    write_csv(agg, os.path.join(out_dir, "aggregate.csv"))
     print(json.dumps(agg))
     return 0
 
@@ -174,7 +170,6 @@ def cmd_check_bounds(args) -> int:
         else check_opnorm_bound
     report = check(params, args.T, args.x, args.reps, args.seed)
     out = report.as_dict()
-    out["holds"] = report.holds
     if args.out:
         io.write_json(out, args.out)
     print(json.dumps(out))
@@ -199,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--scenario", action="store_true",
                      help="use the overlapping-box community scenario")
-    sim.add_argument("--max-events", type=int, default=None)
-    sim.add_argument("--allow-unstable", action="store_true")
+    sim.add_argument("--max-events", type=int, default=None,
+                     help="event cap; an unstable model is simulated only "
+                     "under one")
     sim.add_argument("--out", required=True)
     sim.add_argument("--params-out", help="directory for ground-truth files")
     sim.set_defaults(func=cmd_simulate)

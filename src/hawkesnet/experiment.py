@@ -50,8 +50,9 @@ class ExperimentConfig:
         FitConfig(loss_kind=self.loss_kind, max_iter=self.max_iter)
         if not self.procedures:
             raise ValueError("procedures must be nonempty")
-        if not self.horizons or min(self.horizons) <= 0:
-            raise ValueError("horizons must be nonempty and positive")
+        if not self.horizons or not all(
+                math.isfinite(T) and T > 0 for T in self.horizons):
+            raise ValueError("horizons must be nonempty, finite and positive")
         if list(self.horizons) != sorted(self.horizons):
             raise ValueError("horizons must be increasing")
         if self.n_replications < 1:
@@ -150,14 +151,6 @@ def _run_one_star(args):
     return run_one(*args)
 
 
-def write_rows_csv(rows: Sequence[dict], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def aggregate(rows: Sequence[dict]) -> list:
     """Per (procedure, horizon): n rows, n_failed of them failed, and the
     mean error / AUC of the others (None when every row failed)."""
@@ -182,11 +175,12 @@ def aggregate(rows: Sequence[dict]) -> list:
     return out
 
 
-def write_aggregate_csv(agg: Sequence[dict], path: str) -> None:
+def write_csv(rows: Sequence[dict], path: str) -> None:
+    """Rows with the same keys in the same order (the rows of
+    ``run_experiment`` or of ``aggregate``) as CSV, with those keys as its
+    header; no rows make an empty file."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=("procedure", "T", "n",
-                                               "n_failed", "mean_error",
-                                               "mean_auc"))
-        writer.writeheader()
-        for row in agg:
-            writer.writerow(row)
+        if rows:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)

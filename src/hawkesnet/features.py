@@ -190,10 +190,18 @@ class PenaltyWeights:
 
 def compute_stats(data, alpha) -> Window:
     """The window of ``data``: one ``excitation_states`` sweep per distinct
-    decay row, each reduced before the next is swept, then array algebra."""
+    decay row, each reduced before the next is swept, then array algebra.
+    The decays ``alpha`` must be d x d, finite and positive."""
     d, T = data.d, data.horizon_T
-    decays, row_block = np.unique(np.asarray(alpha, dtype=float), axis=0,
-                                  return_inverse=True)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (d, d):
+        raise ValueError(f"alpha must be {d} x {d} for d={d}; got shape "
+                         f"{alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be finite")
+    if not np.all(alpha > 0):
+        raise ValueError("alpha must be positive")
+    decays, row_block = np.unique(alpha, axis=0, return_inverse=True)
     row_block = row_block.reshape(-1)
     H = [None] * d
     own, sq, B, post_sq, G, int_H = [], [], [], [], [], []

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,12 +15,7 @@ class EvalReport:
     support_size_est_at_threshold: int
 
     def as_dict(self) -> dict:
-        return {
-            "rel_l2_error": self.rel_l2_error,
-            "auc": self.auc,
-            "support_size_true": self.support_size_true,
-            "support_size_est_at_threshold": self.support_size_est_at_threshold,
-        }
+        return asdict(self)
 
 
 def _flatten(mu, A) -> np.ndarray:

@@ -12,6 +12,7 @@ exactly t are excluded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class ModelParams:
             raise ValueError("mu must be a vector")
         if self.A.shape != (d, d) or self.alpha.shape != (d, d):
             raise ValueError("A and alpha must be d x d with d = len(mu)")
+        for name in ("mu", "A", "alpha"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.mu < 0):
             raise ValueError("baseline intensities must be nonnegative")
         if np.any(self.A < 0):
@@ -60,12 +64,14 @@ class EventData:
     events: tuple
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        if not (math.isfinite(self.horizon_T) and self.horizon_T > 0):
+            raise ValueError("horizon_T must be finite and positive")
         evs = tuple(_as_readonly(e) for e in self.events)
         for e in evs:
             if e.ndim != 1:
                 raise ValueError("each node's events must be a 1-d array")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("timestamps must be finite")
             if e.size and (e[0] <= 0 or e[-1] > self.horizon_T):
                 raise ValueError("timestamps must lie in (0, horizon_T]")
             if e.size > 1 and np.any(np.diff(e) <= 0):

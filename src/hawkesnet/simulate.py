@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -22,8 +23,8 @@ class SimConfig:
     max_events: Optional[int] = None
 
     def __post_init__(self):
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        if not (math.isfinite(self.horizon_T) and self.horizon_T > 0):
+            raise ValueError("horizon_T must be finite and positive")
 
 
 def simulate(config: SimConfig) -> EventData:
@@ -31,9 +32,16 @@ def simulate(config: SimConfig) -> EventData:
 
     The dominating rate is the total intensity just after the last
     accepted/rejected time: exponential kernels only decay between events,
-    so that value is a valid upper bound until the next jump.
+    so that value is a valid upper bound until the next jump.  An unstable
+    model (spectral radius of A / alpha >= 1), whose event count may grow
+    without bound, is simulated only under ``max_events``.
     """
     params, T = config.params, config.horizon_T
+    if config.max_events is None:
+        rho = spectral_radius(branching_matrix(params))
+        if rho >= 1:
+            raise ValueError(f"spectral radius {rho:.3f} >= 1; an unstable "
+                             "model is simulated only under max_events")
     d = params.d
     mu, A, alpha = params.mu, params.A, params.alpha
     rng = np.random.default_rng(config.seed)

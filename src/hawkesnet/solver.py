@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -54,37 +54,41 @@ class FitResult:
     mu: np.ndarray
     A: np.ndarray
     objective_trace: list
+    # the diagnostics, in the order ``as_dict`` reports them
     iterations_used: int
     converged: bool
     #: the step of the last accepted iterate
     final_step: float
-    #: the penalized objective at the returned (mu, A)
-    final_objective: float
     solver: str  # "fista" | "split"
     #: no step taken from y = x raised the objective it minimises
     sufficient_decrease_ok: bool
+    #: the penalized objective at the returned (mu, A)
+    final_objective: float
 
     def as_dict(self) -> dict:
-        return {
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-            "final_step": self.final_step,
-            "solver": self.solver,
-            "sufficient_decrease_ok": self.sufficient_decrease_ok,
-            "final_objective": self.final_objective,
-        }
+        """The diagnostics: every field after the estimate and its trace."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[3:]}
 
 
 class LineSearchError(RuntimeError):
     pass
 
 
-def _inner(dmu, dA, gmu, gA) -> float:
-    return float(np.sum(dmu * gmu) + np.sum(dA * gA))
+def _pack(mu, A) -> np.ndarray:
+    """The point (mu, A) as one vector (mu, A.ravel())."""
+    return np.concatenate((mu, np.ravel(A)))
 
 
-def _sqnorm(dmu, dA) -> float:
-    return float(np.sum(dmu * dmu) + np.sum(dA * dA))
+def _unpack(x, d):
+    """The (mu, A) views of a packed point."""
+    return x[:d], x[d:].reshape(d, d)
+
+
+def _loss(smooth, x, d):
+    """The loss at the packed point x and its gradient, packed as x is
+    (None where the loss gives none)."""
+    f, g_mu, g_A = smooth(*_unpack(x, d))
+    return f, None if g_mu is None else _pack(g_mu, g_A)
 
 
 def _within_tol(lhs: float, rhs: float) -> bool:
@@ -92,23 +96,40 @@ def _within_tol(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _backtrack(smooth, weights, y_mu, y_A, f_y, g_mu, g_A, step, u_A=None):
+def _backtrack(smooth, d, w, y, f_y, g, step, u=None):
     """Shrink step until the quadratic upper bound holds at the point of the
-    weighted-l1 + nonnegativity prox (a projection for zero weights) of y
-    moved along the gradient, plus ``u_A`` on A (the bound reads no u_A).
-    A trial point asks the loss for its value only."""
-    s_A = g_A if u_A is None else g_A + u_A
+    weighted-l1 + nonnegativity prox (weights w, a projection where they are
+    zero) of y moved along the gradient g, plus ``u`` (the bound reads no
+    u).  Points, weights and gradients are packed; a trial point asks the
+    loss for its value only."""
+    s = g if u is None else g + u
     while True:
-        x_mu = prox_l1_nonneg(y_mu - step * g_mu, weights.w, step)
-        x_A = prox_l1_nonneg(y_A - step * s_A, weights.W, step)
-        f_new = smooth(x_mu, x_A, grad=False)[0]
-        d_mu, d_A = x_mu - y_mu, x_A - y_A
-        bound = f_y + _inner(d_mu, d_A, g_mu, g_A) + _sqnorm(d_mu, d_A) / (2 * step)
+        x = prox_l1_nonneg(y - step * s, w, step)
+        f_new = smooth(*_unpack(x, d), grad=False)[0]
+        dx = x - y
+        bound = f_y + float(dx @ g) + float(dx @ dx) / (2 * step)
         if np.isfinite(f_new) and _within_tol(f_new, bound):
-            return x_mu, x_A, f_new, step
+            return x, f_new, step
         step *= SHRINK
         if step < 1e-16:
             raise LineSearchError("line search failed (step underflow)")
+
+
+def _start(smooth, weights, mu0, A0):
+    """The packed start, its loss, gradient and penalized objective, and the
+    packed l1 weights."""
+    x, d = _pack(mu0, A0), len(mu0)
+    f, g = _loss(smooth, x, d)
+    if not np.isfinite(f):
+        raise LineSearchError("infeasible starting point")
+    return x, f, g, f + pen_value(*_unpack(x, d), weights), \
+        _pack(weights.w, weights.W)
+
+
+def _result(best, d, trace, converged, step, solver, decrease_ok):
+    """The ``FitResult`` of the best packed point ``best = (x, objective)``."""
+    return FitResult(*_unpack(best[0], d), trace, len(trace), converged,
+                     step, solver, decrease_ok, best[1])
 
 
 def fit_fista(smooth: Callable, weights: PenaltyWeights,
@@ -116,118 +137,95 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     """Accelerated proximal gradient with backtracking and momentum restart.
 
     ``smooth(mu, A, grad=True) -> (value, grad_mu, grad_A)``, with no
-    gradient (None) for ``grad=False``; the weights carry no
-    trace norm (tau = 0), so their prox is exact.  One call at the start
-    gives the value and the gradient the first iteration steps from.
-    Returns the best iterate by penalized objective.
-    ``sufficient_decrease_ok`` says whether every
-    step from y = x (the first, and after each momentum restart) kept the
-    objective from rising, as an exact prox does.
+    gradient (None) for ``grad=False``; the weights carry no trace norm
+    (tau = 0), so their prox is exact.  Each step moves one vector
+    (mu, A.ravel()), packed once per fit, whose views the loss and the
+    penalty read.  One call at the start gives the value and the gradient
+    the first iteration steps from.  Returns the best iterate by penalized
+    objective.  ``sufficient_decrease_ok`` says whether every step from
+    y = x (the first, and after each momentum restart) kept the objective
+    from rising, as an exact prox does.
     """
     if weights.tau > 0:
         raise ValueError("fit_fista takes no trace norm; use fit_split")
-    x_mu, x_A = mu0.copy(), A0.copy()
-    y_mu, y_A = x_mu.copy(), x_A.copy()
-    t_mom = 1.0
-    trial = STEP0
-    f_y, g_mu, g_A = smooth(x_mu, x_A)
-    if not np.isfinite(f_y):
-        raise LineSearchError("infeasible starting point")
-    obj_prev = f_y + pen_value(x_mu, x_A, weights)
-    best = (x_mu.copy(), x_A.copy(), obj_prev)
+    d = len(mu0)
+    x, f_y, g, obj_prev, w = _start(smooth, weights, mu0, A0)
+    y, t_mom, trial = x, 1.0, STEP0
+    best = (x, obj_prev)
     trace = []
-    decrease_ok = True
-    from_x = True
+    decrease_ok = from_x = True
     for k in range(config.max_iter):
         if k:
-            f_y, g_mu, g_A = smooth(y_mu, y_A)
+            f_y, g = _loss(smooth, y, d)
         if not np.isfinite(f_y):
             # momentum overshot the feasible region; restart from x
-            y_mu, y_A = x_mu.copy(), x_A.copy()
-            t_mom = 1.0
-            from_x = True
-            f_y, g_mu, g_A = smooth(y_mu, y_A)
-        xn_mu, xn_A, f_new, step = _backtrack(
-            smooth, weights, y_mu, y_A, f_y, g_mu, g_A, trial)
-        obj = f_new + pen_value(xn_mu, xn_A, weights)
+            y, t_mom, from_x = x, 1.0, True
+            f_y, g = _loss(smooth, y, d)
+        xn, f_new, step = _backtrack(smooth, d, w, y, f_y, g, trial)
+        obj = f_new + pen_value(*_unpack(xn, d), weights)
         trace.append(obj)
         if from_x:
             decrease_ok &= _within_tol(obj, obj_prev)
-        if obj < best[2]:
-            best = (xn_mu.copy(), xn_A.copy(), obj)
+        if obj < best[1]:
+            best = (xn, obj)
         from_x = obj > obj_prev
         if from_x:  # safeguard: restart momentum on objective increase
-            t_new = 1.0
-            y_mu, y_A = xn_mu.copy(), xn_A.copy()
+            t_new, y = 1.0, xn
         else:
             t_new = (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom)) / 2.0
-            beta = (t_mom - 1.0) / t_new
-            y_mu = xn_mu + beta * (xn_mu - x_mu)
-            y_A = xn_A + beta * (xn_A - x_A)
+            y = xn + (t_mom - 1.0) / t_new * (xn - x)
         converged = bool(abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol)
         if converged:
             break
-        x_mu, x_A = xn_mu, xn_A
-        t_mom = t_new
-        obj_prev = obj
-        trial = step * GROWTH
-    return FitResult(mu=best[0], A=best[1], objective_trace=trace,
-                     iterations_used=len(trace), converged=converged,
-                     final_step=step, final_objective=best[2], solver="fista",
-                     sufficient_decrease_ok=decrease_ok)
+        x, t_mom, obj_prev, trial = xn, t_new, obj, step * GROWTH
+    return _result(best, d, trace, converged, step, "fista", decrease_ok)
 
 
 def fit_split(smooth: Callable, weights: PenaltyWeights,
               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Davis-Yin three-operator splitting with the adaptive step of
-    Pedregosa & Gidel: x is the backtracked weighted-l1 + nonnegativity
-    prox of z - step * (grad f(z) + u), z_A the singular value thresholding
-    of x_A + step * u, and u += (x - z) / step.  The trace norm acts on A
-    only, so z_mu = x_mu.  Returns the best x by penalized objective (it is
-    nonnegative); ``sufficient_decrease_ok`` says whether the first step, a
-    plain prox-gradient step (u = 0), kept loss + l1 from rising.
+    Pedregosa & Gidel on one packed vector (mu, A.ravel()): x is the
+    backtracked weighted-l1 + nonnegativity prox of z - step * (grad f(z) +
+    u), z is x with its A block replaced by the singular value thresholding
+    of that block of x + step * u, and u += (x - z) / step.  The trace norm
+    acts on A only, so z_mu = x_mu and u stays 0 on mu.  Returns the best x
+    by penalized objective (it is nonnegative); ``sufficient_decrease_ok``
+    says whether the first step, a plain prox-gradient step (u = 0), kept
+    loss + l1 from rising.
     """
+    d = len(mu0)
     l1 = replace(weights, tau=0.0)
-    z_mu, z_A = mu0.copy(), A0.copy()
-    u_A = np.zeros_like(z_A)
-    f_z, g_mu, g_A = smooth(z_mu, z_A)
-    if not np.isfinite(f_z):
-        raise LineSearchError("infeasible starting point")
-    obj_prev = f_z + pen_value(z_mu, z_A, weights)
-    best = (z_mu, z_A, math.inf)
-    trace = []
-    trial = STEP0
+    z, f_z, g, obj_prev, w = _start(smooth, weights, mu0, A0)
+    u = np.zeros_like(z)
+    best, trace, trial = (z, math.inf), [], STEP0
     for k in range(config.max_iter):
-        x_mu, x_A, f_x, step = _backtrack(
-            smooth, weights, z_mu, z_A, f_z, g_mu, g_A, trial, u_A)
-        obj = f_x + pen_value(x_mu, x_A, weights)
+        x, f_x, step = _backtrack(smooth, d, w, z, f_z, g, trial, u)
+        obj = f_x + pen_value(*_unpack(x, d), weights)
         trace.append(obj)
         if k == 0:
-            decrease_ok = _within_tol(f_x + pen_value(x_mu, x_A, l1),
-                                      f_z + pen_value(z_mu, z_A, l1))
-        if obj < best[2]:
-            best = (x_mu, x_A, obj)
+            decrease_ok = _within_tol(f_x + pen_value(*_unpack(x, d), l1),
+                                      f_z + pen_value(*_unpack(z, d), l1))
+        if obj < best[1]:
+            best = (x, obj)
         converged = bool(abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol)
         if converged:
             break
         obj_prev = obj
         # a z outside the loss's domain (a log-likelihood intensity <= 0)
         # is rebuilt from the same x and u with a shorter step
-        gamma, z_mu = step, x_mu
+        gamma = step
         while True:
-            z_A = prox_trace(x_A + gamma * u_A, gamma * weights.tau)
-            f_z, g_mu, g_A = smooth(z_mu, z_A)
+            z = _pack(x[:d], prox_trace(_unpack(x + gamma * u, d)[1],
+                                        gamma * weights.tau))
+            f_z, g = _loss(smooth, z, d)
             if np.isfinite(f_z):
                 break
             gamma *= SHRINK
             if gamma < 1e-16:
                 raise LineSearchError("no feasible z (step underflow)")
-        u_A = u_A + (x_A - z_A) / gamma
+        u = u + (x - z) / gamma
         trial = gamma * GROWTH
-    return FitResult(mu=best[0], A=best[1], objective_trace=trace,
-                     iterations_used=len(trace), converged=converged,
-                     final_step=step, final_objective=best[2], solver="split",
-                     sufficient_decrease_ok=decrease_ok)
+    return _result(best, d, trace, converged, step, "split", decrease_ok)
 
 
 #: the name the trace-norm dispatch calls (perfbench/ wraps it)

@@ -191,6 +191,27 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             check_opnorm_bound(params, 50.0, x=1.0, n_reps=0, seed=0)
 
+    def test_unstable_model_rejected(self):
+        # coupling 1.5 > 1: the event count grows without bound
+        with pytest.raises(ValueError, match="spectral radius"):
+            check_pointwise_bound(default_bound_params(3, coupling_opnorm=1.5),
+                                  10.0, 8.0, 2, 0)
+
+    @pytest.mark.parametrize("kw", [dict(mu=math.nan),
+                                    dict(coupling_opnorm=math.inf),
+                                    dict(alpha=math.nan)])
+    def test_non_finite_model_rejected(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            default_bound_params(3, **kw)
+
+    def test_report_dict_is_its_fields_and_holds(self):
+        report = check_opnorm_bound(default_bound_params(2), 20.0, x=3.0,
+                                    n_reps=3, seed=0)
+        assert list(report.as_dict()) == [
+            "bound_id", "x", "n_reps", "violation_count", "stated_bound",
+            "empirical_rate", "wilson_ci", "holds"]
+        assert report.as_dict()["holds"] is report.holds
+
     def test_deterministic_given_seed(self):
         params = default_bound_params(2)
         a = check_pointwise_bound(params, 80.0, x=4.0, n_reps=20, seed=3)

@@ -117,6 +117,18 @@ class TestSimulate:
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_unstable_simulated_under_event_cap(self, tmp_path, capsys):
+        out_path = tmp_path / "u.json"
+        code, _, err = run_cli(capsys, "simulate", "--d", "2", "--mu", "0.5",
+                               "--a", "1.5", "--T", "10", "--seed", "0",
+                               "--max-events", "100000",
+                               "--out", str(out_path))
+        assert code == 0 or json.loads(err)["error"] == \
+            "SimulationOverflowError"
+        assert out_path.exists() == (code == 0)
+        with pytest.raises(SystemExit):
+            main(["simulate", "--allow-unstable", "--out", str(out_path)])
+
     def test_negative_coupling_rejected(self, tmp_path, capsys):
         out_path = tmp_path / "n.json"
         code, out, err = run_cli(capsys, "simulate", "--d", "2", "--a", "-0.5",
@@ -561,6 +573,71 @@ class TestErrors:
         assert json.loads(err) == {
             "error": "ValueError",
             "message": "penalty weights must be finite and >= 0"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("procedure", ["L1", "wL1"])
+    @pytest.mark.parametrize("T, first, message", [
+        ("Infinity", "1.0", "horizon_T must be finite"),
+        ("NaN", "1.0", "horizon_T must be finite"),
+        ("10.0", "NaN", "timestamps must be finite")])
+    def test_non_finite_events_rejected_before_writing(
+            self, tmp_path, capsys, procedure, T, first, message):
+        # unchecked, an infinite horizon fits an all-zero estimate with L1
+        events = tmp_path / "e.json"
+        events.write_text(
+            f'{{"d": 2, "T": {T}, "events": [[{first}, 2.0], [1.5]]}}')
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "fit", "--events", str(events),
+                                    "--procedure", procedure,
+                                    "--out-dir", str(out))
+        assert code == 1 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, which", [
+        (("fit", "--alpha-file"), "2 x 2"),
+        (("fit", "--alpha", "0"), "positive"),
+        (("xval", "--alpha", "0"), "positive"),
+        (("weights", "--weighting", "practical", "--alpha", "0"), "positive"),
+        (("fit", "--alpha", "nan"), "finite"),
+    ])
+    def test_bad_decays_rejected_before_writing(self, tmp_path, capsys, argv,
+                                                which):
+        events = tmp_path / "e.json"
+        events.write_text(
+            '{"d": 2, "T": 10.0, "events": [[1.0, 2.0, 6.0], [1.5, 7.0]]}')
+        if argv[-1] == "--alpha-file":
+            write_matrix_csv(np.ones((3, 3)), str(tmp_path / "alpha.csv"))
+            argv += (str(tmp_path / "alpha.csv"),)
+        out = tmp_path / "out"
+        dest = ("--out", str(out)) if argv[0] == "xval" \
+            else ("--out-dir", str(out))
+        code, stdout, err = run_cli(capsys, *argv, "--events", str(events),
+                                    *dest)
+        assert code == 1 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"alpha must be {which}" in payload["message"]
+        assert not out.exists()
+
+    def test_failed_fit_writes_nothing(self, sim_files, tmp_path, capsys,
+                                       monkeypatch):
+        import hawkesnet.cli as cli
+        from hawkesnet.solver import LineSearchError
+
+        def failing(*args):
+            raise LineSearchError("line search failed (step underflow)")
+
+        monkeypatch.setattr(cli, "fit_hawkes", failing)
+        events, _ = sim_files
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "fit", "--events", events,
+                                    "--procedure", "wL1", "--out-dir",
+                                    str(out))
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == "LineSearchError"
         assert not out.exists()
 
 

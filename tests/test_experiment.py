@@ -39,7 +39,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(loss_kind="least-square"), dict(max_iter=0), dict(horizons=()),
-        dict(horizons=(0.0, 50.0)), dict(n_replications=0)])
+        dict(horizons=(0.0, 50.0)), dict(n_replications=0),
+        dict(horizons=(50.0, float("inf"))), dict(horizons=(float("nan"),))])
     def test_rejected_before_any_fit(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)

@@ -59,6 +59,19 @@ def stats_with_counts(counts, d, T):
 
 
 class TestComputeStats:
+    @pytest.mark.parametrize("alpha, which", [
+        (np.ones((3, 3)), "2 x 2"),
+        (np.ones(2), "2 x 2"),
+        ([[1.0, np.nan], [1.0, 1.0]], "finite"),
+        ([[1.0, 1.0], [np.inf, 1.0]], "finite"),
+        ([[1.0, 0.0], [1.0, 1.0]], "positive"),
+        ([[1.0, 1.0], [1.0, -2.0]], "positive"),
+    ])
+    def test_bad_decays_rejected(self, alpha, which):
+        data = EventData(5.0, (np.array([1.0, 2.0]), np.array([1.5])))
+        with pytest.raises(ValueError, match=f"alpha must be {which}"):
+            compute_stats(data, alpha)
+
     def test_no_events_all_zero(self):
         data = EventData(5.0, (np.empty(0), np.empty(0)))
         st = compute_stats(data, np.ones((2, 2)))

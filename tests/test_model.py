@@ -38,6 +38,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             EventData(10.0, (np.array([11.0]),))
 
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_rejects_non_finite_horizon(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            EventData(T, (np.array([1.0, 2.0]),))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_timestamp(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            EventData(10.0, (np.array([1.0, t, 3.0]), np.array([2.0])))
+
+    @pytest.mark.parametrize("name", ["mu", "A", "alpha"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_params(self, name, bad):
+        values = {"mu": np.full(2, 0.1), "A": np.full((2, 2), 0.2),
+                  "alpha": np.ones((2, 2))}
+        values[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**values)
+
 
 class TestIntensity:
     def test_no_excitation_returns_baseline(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hawkesnet import (ModelParams, ScenarioConfig, SimConfig,
-                       generate_scenario, mean_stationary_intensity,
+                       default_bound_params, generate_scenario, mean_stationary_intensity,
                        scaled_box_ranges, simulate, simulate_replication)
 from hawkesnet.simulate import SimulationOverflowError
 from tests.conftest import count_covariance_rate, expected_counts
@@ -92,6 +92,23 @@ class TestThinning:
         with pytest.raises(SimulationOverflowError):
             simulate(SimConfig(params=params, horizon_T=10000.0, seed=0,
                                max_events=50))
+
+    @pytest.mark.parametrize("T", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(params=poisson_params(), horizon_T=T, seed=0)
+
+    def test_unstable_model_needs_an_event_cap(self):
+        # spectral radius 1.5: unbounded in expectation without a cap
+        params = default_bound_params(3, coupling_opnorm=1.5)
+        with pytest.raises(ValueError, match="max_events"):
+            simulate(SimConfig(params=params, horizon_T=10.0, seed=0))
+        try:
+            data = simulate(SimConfig(params=params, horizon_T=10.0, seed=0,
+                                      max_events=10_000))
+        except SimulationOverflowError:
+            return
+        assert data.total_events() <= 10_000
 
     def test_replication_streams_independent_of_order(self):
         params = poisson_params(mu=0.5)

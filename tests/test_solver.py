@@ -183,6 +183,29 @@ class TestFitSplit:
         assert res.solver == "split"
         assert not res.sufficient_decrease_ok
 
+    @pytest.mark.parametrize("loss_kind", ["least-squares", "log-likelihood"])
+    def test_accepted_steps_satisfy_descent_lemma(self, loss_kind,
+                                                  monkeypatch):
+        # the bound reads the loss gradient at z, not the direction shifted
+        # by the dual u, which the closed-form cases cannot tell apart
+        params, data = random_instance(8, d=3, horizon=60.0)
+        steps = []
+        backtrack = solver._backtrack
+
+        def recorded(*args):
+            steps.append((args, backtrack(*args)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(solver, "_backtrack", recorded)
+        fit_hawkes(compute_stats(data, params.alpha),
+                   constant_weights(3, 0.01, 0.01, tau=0.05),
+                   FitConfig(loss_kind=loss_kind, max_iter=50))
+        assert len(steps) > 1
+        for (_, _, _, y, f_y, g, *_), (x, f_x, step) in steps:
+            dx = x - y
+            rhs = f_y + dx @ g + dx @ dx / (2 * step)
+            assert f_x <= rhs + 1e-12 * max(1.0, abs(rhs))
+
     def test_large_tau_drops_rank(self):
         params, data = random_instance(10, d=3, horizon=80.0)
         cfg = FitConfig(max_iter=200)
@@ -267,7 +290,7 @@ class TestReportedFields:
 
         def recorded(*args):
             out = backtrack(*args)
-            accepted.append(out[3])
+            accepted.append(out[2])
             return out
 
         monkeypatch.setattr(solver, "_backtrack", recorded)
@@ -278,6 +301,15 @@ class TestReportedFields:
         assert len(accepted) == res.iterations_used == 5
         assert res.final_step == accepted[-1]
         assert res.as_dict()["final_step"] == accepted[-1]
+
+    def test_diagnostics_in_reported_order(self):
+        params, data = random_instance(8, d=3, horizon=60.0)
+        res = fit_hawkes(compute_stats(data, params.alpha),
+                         constant_weights(3, 0.01, 0.01), FitConfig(max_iter=3))
+        assert list(res.as_dict()) == [
+            "iterations_used", "converged", "final_step", "solver",
+            "sufficient_decrease_ok", "final_objective"]
+        assert res.as_dict()["final_objective"] == res.final_objective
 
     def test_final_objective_is_that_of_the_estimate(self):
         # on this instance the last iterate lies about 5e-8 above the best,
