@@ -115,8 +115,10 @@ def _check(bound_id: str, prob_const: float, params: ModelParams,
            horizon_T: float, x: float, n_reps: int, seed: int,
            violated) -> BoundReport:
     """Count the replications where ``violated(noise)`` holds."""
-    if x <= 0 or n_reps < 1:
-        raise ValueError("need x > 0 and n_reps >= 1")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"x must be finite and positive; got {x}")
+    if n_reps < 1:
+        raise ValueError("need n_reps >= 1")
     k = 0
     for rep in range(n_reps):
         data = simulate_replication(params, horizon_T, seed, rep)

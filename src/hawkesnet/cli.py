@@ -25,7 +25,8 @@ from .features import PROCEDURES, compute_stats, constant_weights, \
 from .metrics import evaluate
 from .model import ModelParams
 from .simulate import ScenarioConfig, SimConfig, generate_scenario, simulate
-from .solver import LOSS_KINDS, FitConfig, cross_validate, fit_hawkes
+from .solver import CONSTANTS, LOSS_KINDS, FitConfig, cross_validate, \
+    fit_hawkes
 
 
 def _write_params(params: ModelParams, out_dir: str, support=None) -> None:
@@ -113,12 +114,13 @@ def cmd_xval(args) -> int:
     cfg = FitConfig(loss_kind=args.loss, max_iter=args.max_iter)
     cv = cross_validate(data, alpha, cfg, args.procedure, tuple(args.c1_grid),
                         tuple(args.c2_grid), tuple(args.tau_grid))
-    out = {"best": {"c1": cv.best[0], "c2": cv.best[1], "tau": cv.best[2]},
+    out = {"best": dict(zip(CONSTANTS, cv.best)),
+           "on_edge": dict(zip(CONSTANTS, cv.on_edge)),
            "scores": [{"c1": c1, "c2": c2, "tau": t, "heldout_loglik": s}
                       for c1, c2, t, s in cv.scores]}
     if args.out:
         io.write_json(out, args.out)
-    print(json.dumps(out["best"]))
+    print(json.dumps({**out["best"], "on_edge": out["on_edge"]}))
     return 0
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .features import PROCEDURES, compute_stats, procedure_weights
 from .metrics import evaluate
 from .simulate import ScenarioConfig, generate_scenario, simulate_replication
-from .solver import FitConfig, LineSearchError, cross_validate, fit_hawkes
+from .solver import CONSTANTS, FitConfig, LineSearchError, \
+    cross_validate, fit_hawkes, split_halves
 
 
 @dataclass(frozen=True)
@@ -87,36 +88,42 @@ class ExperimentConfig:
 
 #: the row of one (procedure, horizon, replication); ``failure`` is empty
 #: for a fitted row, else the error that ended its fit, and then every
-#: field between ``rep`` and it is empty too
-COLUMNS = ("procedure", "T", "rep", "error", "auc",
-           "c1", "c2", "tau", "iterations", "converged", "failure")
-
-
-def _fit(cfg: ExperimentConfig, fit_cfg: FitConfig, data, alpha,
-         procedure: str):
-    """The estimate of ``procedure`` on ``data`` and its constants."""
-    if procedure == "NoPen":
-        window = compute_stats(data, alpha)
-        return fit_hawkes(window, procedure_weights("NoPen", window),
-                          fit_cfg), (0.0, 0.0, 0.0)
-    cv = cross_validate(data, alpha, fit_cfg, procedure,
-                        *cfg.grids(procedure))
-    return cv.fit, cv.best
+#: field between ``rep`` and it is empty too.  ``on_edge`` names the tuned
+#: constants that cross-validation chose on an edge of their grid
+#: (``CVResult.on_edge``), or is "none"
+COLUMNS = ("procedure", "T", "rep", "error", "auc", "c1", "c2", "tau",
+           "on_edge", "iterations", "converged", "failure")
 
 
 def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
-    """All rows for one replication (simulate once, truncate per horizon)."""
+    """All rows for one replication (simulate once, truncate per horizon).
+
+    Each horizon's full window is swept once, for NoPen and every refit,
+    and its train and test halves once, for every cross-validation."""
     data_full = simulate_replication(params, max(cfg.horizons), cfg.seed, rep)
     alpha = params.alpha
     fit_cfg = FitConfig(loss_kind=cfg.loss_kind, max_iter=cfg.max_iter)
     rows = []
     for T in cfg.horizons:
         data = data_full.truncated(T)
+        full = compute_stats(data, alpha)
+        halves = None
         for procedure in cfg.procedures:
             row = {"procedure": procedure, "T": T, "rep": rep}
             try:
-                result, (c1, c2, tau) = _fit(cfg, fit_cfg, data, alpha,
-                                             procedure)
+                if procedure == "NoPen":
+                    result = fit_hawkes(full, procedure_weights("NoPen", full),
+                                        fit_cfg)
+                    (c1, c2, tau), on_edge = (0.0, 0.0, 0.0), ()
+                else:
+                    # an empty half raises here, for every penalised row
+                    halves = halves or [compute_stats(h, alpha)
+                                        for h in split_halves(data)]
+                    cv = cross_validate(data, alpha, fit_cfg, procedure,
+                                        *cfg.grids(procedure),
+                                        windows=(*halves, full))
+                    result, (c1, c2, tau) = cv.fit, cv.best
+                    on_edge = [n for n, e in zip(CONSTANTS, cv.on_edge) if e]
             except (LineSearchError, ValueError) as exc:
                 rows.append({**row, **dict.fromkeys(COLUMNS[3:-1]),
                              "failure": f"{type(exc).__name__}: {exc}"})
@@ -126,6 +133,7 @@ def run_one(cfg: ExperimentConfig, params, support, rep: int) -> list:
                 **row,
                 "error": report.rel_l2_error, "auc": report.auc,
                 "c1": c1, "c2": c2, "tau": tau,
+                "on_edge": " ".join(on_edge) or "none",
                 "iterations": result.iterations_used,
                 "converged": result.converged,
                 "failure": None,
@@ -152,8 +160,9 @@ def _run_one_star(args):
 
 
 def aggregate(rows: Sequence[dict]) -> list:
-    """Per (procedure, horizon): n rows, n_failed of them failed, and the
-    mean error / AUC of the others (None when every row failed)."""
+    """Per (procedure, horizon): n rows, n_failed of them failed, the mean
+    error / AUC of the others (None when every row failed) and n_on_edge,
+    how many of the others chose a constant on an edge of its grid."""
     keys = sorted({(r["procedure"], r["T"]) for r in rows},
                   key=lambda k: (k[1], k[0]))
     out = []
@@ -171,6 +180,8 @@ def aggregate(rows: Sequence[dict]) -> list:
             "n_failed": len(sel) - len(fitted),
             "mean_error": mean("error"),
             "mean_auc": mean("auc"),
+            "n_on_edge": sum(r.get("on_edge") not in (None, "none")
+                             for r in fitted),
         })
     return out
 

@@ -266,8 +266,8 @@ def iterated_log_A(Vhat, B, x: float, T: float) -> np.ndarray:
 
 def theoretical_weights(stats: Window, x: float) -> PenaltyWeights:
     """Fully data-driven weights at confidence level x (natural logs)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"x must be finite and positive; got {x}")
     T = stats.horizon_T
     if T <= 0:
         raise ValueError("T must be positive")

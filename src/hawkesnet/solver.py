@@ -261,12 +261,18 @@ def _solve(smooth: Callable, weights: PenaltyWeights, mu0: np.ndarray,
 
 
 def fit_hawkes(window: Window, weights: PenaltyWeights,
-               config: FitConfig = FitConfig()) -> FitResult:
+               config: FitConfig = FitConfig(), start=None) -> FitResult:
     """Fit (mu, A) on one window (``compute_stats(data, alpha)``): the
-    config's loss plus the weights' penalty."""
+    config's loss plus the weights' penalty, from ``start = (mu0, A0)``,
+    or from ``_default_init`` when no start is given."""
     smooth = _make_loss_oracle(window, config.loss_kind)
-    return _solve(smooth, weights, *_default_init(window, config.loss_kind),
-                  config)
+    if start is None:
+        start = _default_init(window, config.loss_kind)
+    return _solve(smooth, weights, *start, config)
+
+
+#: the constants cross-validation tunes, in the order ``CVResult`` keeps
+CONSTANTS = ("c1", "c2", "tau")
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,9 @@ class CVResult:
     best: Tuple[float, float, float]  # (c1, c2, tau)
     scores: list  # rows of (c1, c2, tau, heldout_loglik)
     fit: FitResult  # refit with the winning constants
+    #: per constant (c1, c2, tau): the choice is the smallest or the largest
+    #: value of a grid with at least 2 distinct values
+    on_edge: Tuple[bool, bool, bool]
 
 
 def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
@@ -288,16 +297,44 @@ def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
         mu, A, cache, clip, grad=False).value
 
 
+def split_halves(data):
+    """The train half [0, T/2] and the test half (T/2, T] of ``data``,
+    re-based to [0, T/2]; ValueError when T < 2 or a half has no events."""
+    T = data.horizon_T
+    if T < 2:
+        raise ValueError("window too short to split")
+    train, test = data.truncated(T / 2), data.shifted(T / 2, T / 2)
+    if train.total_events() == 0 or test.total_events() == 0:
+        raise ValueError("empty train or test half")
+    return train, test
+
+
+def _on_edge(value, grid) -> bool:
+    return len(set(grid)) >= 2 and value in (min(grid), max(grid))
+
+
 def cross_validate(data, alpha, config: FitConfig, procedure: str,
                    c1_grid: Sequence[float], c2_grid: Sequence[float],
-                   tau_grid: Sequence[float] = (0.0,)) -> CVResult:
+                   tau_grid: Sequence[float] = (0.0,), *,
+                   windows=None) -> CVResult:
     """Tune the constants (c1, c2, tau) of a penalised ``procedure``, tau = 0
     without the trace norm, by a half/half time split of the window.
 
-    Fits on [0, T/2], scores by log-likelihood on the re-based second half
-    (cold start: the test window's excitation ignores pre-split events),
-    then refits on the full window with the winning constants.  Each of the
-    three windows is swept once.
+    The grid points are fitted on the train half [0, T/2] as one path in
+    order of decreasing penalty: tau, then c2, then c1, each from largest
+    to smallest.  The first fit starts from ``_default_init`` and each
+    later one from the estimate before it; every estimate of the path has
+    a finite loss on the train window, so each start is feasible.  After
+    the path the estimates are scored, in ``itertools.product`` grid
+    order, by log-likelihood on the re-based second half (cold start: the
+    test window's excitation ignores pre-split events); the first best
+    score wins.  The winning constants are refitted on the full window
+    from ``_default_init``.  ``on_edge`` flags each chosen constant that
+    is the smallest or the largest value of its grid.
+
+    ``windows`` are the prebuilt (train, test, full) windows of ``data``:
+    ``compute_stats`` of the two ``split_halves`` and of ``data``.  Without
+    them each of the three is swept here, once.
     """
     weighting, use_trace = PROCEDURES.get(procedure, (None, False))
     if weighting is None:
@@ -305,26 +342,31 @@ def cross_validate(data, alpha, config: FitConfig, procedure: str,
     tau_grid = tau_grid if use_trace else (0.0,)
     if not c1_grid or not c2_grid or not tau_grid:
         raise ValueError("grids must be nonempty")
-    T = data.horizon_T
-    if T < 2:
-        raise ValueError("window too short to split")
-    train = data.truncated(T / 2)
-    test = data.shifted(T / 2, T / 2)
-    if train.total_events() == 0 or test.total_events() == 0:
-        raise ValueError("empty train or test half")
+    if windows is None:
+        windows = [compute_stats(w, alpha) for w in (*split_halves(data),
+                                                      data)]
+    train, test, full = windows
 
-    def fit(window, c1, c2, tau):
+    def fit(window, c1, c2, tau, start=None):
         return fit_hawkes(window, procedure_weights(procedure, window, c1, c2,
-                                                    tau), config)
+                                                    tau), config, start)
 
-    train, test = compute_stats(train, alpha), compute_stats(test, alpha)
+    points = list(itertools.product(c1_grid, c2_grid, tau_grid))
+    estimates = [None] * len(points)
+    start = None
+    # the path: largest (tau, c2, c1) first; a stable sort keeps repeats
+    for i in sorted(range(len(points)), key=lambda i: points[i][::-1],
+                    reverse=True):
+        res = fit(train, *points[i], start)
+        estimates[i] = start = (res.mu, res.A)
     scores = []
     best_combo, best_score = None, -np.inf
-    for c1, c2, tau in itertools.product(c1_grid, c2_grid, tau_grid):
-        res = fit(train, c1, c2, tau)
-        score = heldout_loglik(res.mu, res.A, test)
-        scores.append((c1, c2, tau, score))
+    for combo, (mu, A) in zip(points, estimates):
+        score = heldout_loglik(mu, A, test)
+        scores.append((*combo, score))
         if score > best_score:  # strict: first grid point wins ties
-            best_combo, best_score = (c1, c2, tau), score
-    final = fit(compute_stats(data, alpha), *best_combo)
-    return CVResult(best=best_combo, scores=scores, fit=final)
+            best_combo, best_score = combo, score
+    return CVResult(best=best_combo, scores=scores, fit=fit(full, *best_combo),
+                    on_edge=tuple(_on_edge(v, grid) for v, grid in
+                                  zip(best_combo, (c1_grid, c2_grid,
+                                                   tau_grid))))

@@ -191,6 +191,19 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             check_opnorm_bound(params, 50.0, x=1.0, n_reps=0, seed=0)
 
+    @pytest.mark.parametrize("check", [check_pointwise_bound,
+                                       check_opnorm_bound])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_x_rejected_before_simulating(self, monkeypatch, check, x):
+        import hawkesnet.bounds as bounds
+
+        def simulated(*args):
+            raise AssertionError("simulated a replication")
+
+        monkeypatch.setattr(bounds, "simulate_replication", simulated)
+        with pytest.raises(ValueError, match="x must be finite and positive"):
+            check(default_bound_params(2), 50.0, x, 10, 0)
+
     def test_unstable_model_rejected(self):
         # coupling 1.5 > 1: the event count grows without bound
         with pytest.raises(ValueError, match="spectral radius"):

@@ -308,6 +308,21 @@ class TestXvalWeights:
         table = json.loads(open(out).read())
         assert len(table["scores"]) == 4
 
+    def test_xval_reports_edges(self, sim_files, tmp_path, capsys):
+        # two-point axes: whatever wins sits on an edge; one tau value
+        events, _ = sim_files
+        out = tmp_path / "cv.json"
+        code, stdout, _ = run_cli(capsys, "xval", "--events", events,
+                                  "--procedure", "L1Nuclear",
+                                  "--c1-grid", "0.01", "0.03",
+                                  "--c2-grid", "0.01", "0.03",
+                                  "--tau-grid", "0.01", "--max-iter", "20",
+                                  "--out", str(out))
+        assert code == 0
+        on_edge = {"c1": True, "c2": True, "tau": False}
+        assert json.loads(stdout)["on_edge"] == on_edge
+        assert json.loads(out.read_text())["on_edge"] == on_edge
+
     def test_weights_theoretical(self, sim_files, tmp_path, capsys):
         events, _ = sim_files
         out_dir = str(tmp_path / "w")
@@ -372,6 +387,24 @@ class TestCheckBounds:
         assert code == 1
         assert json.loads(stdout)["holds"] is False
         assert json.loads(out.read_text())["violation_count"] == 20
+
+
+    @pytest.mark.parametrize("argv", [
+        ("check-bounds", "--which", "pointwise", "--x", "nan"),
+        ("check-bounds", "--which", "opnorm", "--x", "inf"),
+        ("weights", "--weighting", "theoretical", "--x", "inf"),
+    ])
+    def test_non_finite_x_rejected(self, sim_files, tmp_path, capsys, argv):
+        events, _ = sim_files
+        out = tmp_path / "out"
+        dest = ("--events", events, "--out-dir", str(out)) \
+            if argv[0] == "weights" else ("--out", str(out))
+        code, stdout, err = run_cli(capsys, *argv, *dest)
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"x must be finite and positive; got {argv[-1]}"}
+        assert not out.exists()
 
 
 EXP_CONFIG = {

@@ -84,6 +84,38 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_config(jobs=2))
         assert serial == parallel
 
+    def test_loglik_study_fits_every_row(self):
+        # every warm start of a cross-validation path is an estimate of
+        # the same train window, so no start is infeasible
+        rows = run_experiment(tiny_config(
+            loss_kind="log-likelihood", procedures=tuple(PROCEDURES),
+            horizons=(60.0, 120.0), c1_grid_constant=(0.001, 0.01, 0.1),
+            c2_grid_constant=(0.001, 0.01, 0.1)))
+        assert len(rows) == 5 * 2 * 2
+        assert [r["failure"] for r in rows] == [None] * len(rows)
+
+    def test_on_edge_column(self):
+        rows = run_experiment(tiny_config(
+            procedures=("NoPen", "L1", "wL1"), c1_grid_constant=(0.01,),
+            c2_grid_constant=(0.001, 0.01), n_replications=1))
+        on_edge = {r["procedure"]: r["on_edge"] for r in rows}
+        # NoPen tunes nothing; L1's c2 has an edge on either side, its c1
+        # and tau one point each
+        assert on_edge["NoPen"] == "none" and on_edge["L1"] == "c2"
+        cv = set(on_edge["wL1"].split())
+        assert cv == {"none"} or cv <= {"c1", "c2"}
+        (l1,) = [a for a in aggregate(rows) if a["procedure"] == "L1"]
+        assert l1["n_on_edge"] == 1
+
+    def test_aggregate_counts_fitted_rows_on_an_edge(self):
+        rows = [{"procedure": "L1", "T": 10.0, "error": 1.0, "auc": 0.6,
+                 "on_edge": edge, "failure": None}
+                for edge in ("c1", "none", "c1 c2 tau")]
+        rows.append({"procedure": "L1", "T": 10.0, "error": None,
+                     "auc": None, "on_edge": None, "failure": "ValueError"})
+        (agg,) = aggregate(rows)
+        assert (agg["n"], agg["n_failed"], agg["n_on_edge"]) == (4, 1, 2)
+
     def test_aggregate_means(self):
         rows = [
             {"procedure": "L1", "T": 10.0, "error": 1.0, "auc": 0.6},
@@ -106,11 +138,11 @@ class TestFailedFits:
         # every L1 fit at constant c1 raises, the other grid point fits
         fit = solver.fit_hawkes
 
-        def fit_or_fail(window, weights, config):
+        def fit_or_fail(window, weights, config, start=None):
             if weights.w[0] == c1:
                 raise solver.LineSearchError("line search failed (step "
                                              "underflow)")
-            return fit(window, weights, config)
+            return fit(window, weights, config, start)
 
         monkeypatch.setattr(solver, "fit_hawkes", fit_or_fail)
 

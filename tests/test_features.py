@@ -279,6 +279,12 @@ class TestTheoreticalWeights:
         with pytest.raises(ValueError):
             theoretical_weights(st, x=0.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_x(self, x):
+        st = stats_with_counts([1], d=1, T=10.0)
+        with pytest.raises(ValueError, match="x must be finite and positive"):
+            theoretical_weights(st, x=x)
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_nondecreasing_in_x(self, seed):
         # only for x >= 1: below that the decreasing iterated-logarithm

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from hawkesnet import solver
 from hawkesnet.features import constant_weights
 from hawkesnet.solver import (LineSearchError, _default_init,
                               _make_loss_oracle, _solve, fit_fista,
-                              fit_split, heldout_loglik)
+                              fit_split, heldout_loglik, split_halves)
 from tests.conftest import random_instance
 
 
@@ -219,11 +221,11 @@ class TestFitSplit:
         assert s_big <= s_small + 1e-10
 
     @staticmethod
-    def quadratic(m, B):
-        """1/2 |mu - m|^2 + 1/2 |A - B|^2 and its gradient."""
+    def quadratic(m, B, c=1.0):
+        """c/2 |mu - m|^2 + c/2 |A - B|^2 and its gradient."""
         def smooth(mu, A, grad=True):
-            return (0.5 * np.sum((mu - m) ** 2) + 0.5 * np.sum((A - B) ** 2),
-                    mu - m, A - B)
+            return (c / 2 * (np.sum((mu - m) ** 2) + np.sum((A - B) ** 2)),
+                    c * (mu - m), c * (A - B))
         return smooth
 
     def test_permuted_diagonal_closed_form(self):
@@ -241,6 +243,25 @@ class TestFitSplit:
         assert res.converged
         assert np.abs(res.mu - np.maximum(m - w, 0.0)).max() < 1e-8
         A_star = P @ np.diag(np.maximum(b - W - tau, 0.0))
+        assert np.abs(res.A - A_star).max() < 1e-8
+
+    def test_curvature_four_closed_form(self):
+        # with curvature c = 4 the steps and gamma are not 1, so the scale
+        # of the dual update u += (x - z) / gamma shows: the exact update
+        # meets the budget, u += (x - z) * gamma does not
+        rng = np.random.default_rng(0)
+        d, w, W, tau, c = 5, 0.1, 0.2, 0.3, 4.0
+        m = rng.normal(size=d)
+        b = rng.uniform(0.0, 2.0, d)
+        P = np.eye(d)[rng.permutation(d)]
+        weights = PenaltyWeights(w=np.full(d, w), W=np.full((d, d), W),
+                                 tau=tau)
+        res = fit_split(self.quadratic(m, P @ np.diag(b), c), weights,
+                        np.zeros(d), np.zeros((d, d)),
+                        FitConfig(max_iter=50, tol=1e-14))
+        assert res.converged
+        assert np.abs(res.mu - np.maximum(m - w / c, 0.0)).max() < 1e-8
+        A_star = P @ np.diag(np.maximum(b - (W + tau) / c, 0.0))
         assert np.abs(res.A - A_star).max() < 1e-8
 
     def test_rank_one_closed_form(self):
@@ -407,6 +428,99 @@ class TestCrossValidate:
         cv = cross_validate(data, params.alpha, cfg, "wL1", (0.5,), (0.5,),
                             tau_grid=(0.001, 0.1))
         assert cv.best == (0.5, 0.5, 0.0) and len(cv.scores) == 1
+
+
+class TestCrossValidatePath:
+    """The train fits are one warm-started path; scoring keeps grid order."""
+
+    GRIDS = dict(c1_grid=(0.01, 0.03), c2_grid=(0.02, 0.01),
+                 tau_grid=(0.001, 0.01))
+
+    @staticmethod
+    def windows(data, alpha):
+        return [compute_stats(w, alpha) for w in (*split_halves(data), data)]
+
+    @pytest.mark.parametrize("procedure", ["wL1", "L1Nuclear"])
+    def test_prebuilt_windows_bit_identical(self, procedure):
+        params, data = random_instance(15, d=2, horizon=80.0)
+        cfg = FitConfig(max_iter=40)
+        args = (data, params.alpha, cfg, procedure, (0.3, 1.0), (0.3, 1.0),
+                (0.003, 0.03))
+        swept = cross_validate(*args)
+        built = cross_validate(*args,
+                               windows=self.windows(data, params.alpha))
+        assert built.best == swept.best and built.scores == swept.scores
+        assert built.on_edge == swept.on_edge
+        assert np.array_equal(built.fit.mu, swept.fit.mu)
+        assert np.array_equal(built.fit.A, swept.fit.A)
+        assert built.fit.objective_trace == swept.fit.objective_trace
+
+    def test_path_order_and_warm_starts(self, monkeypatch):
+        params, data = random_instance(15, d=2, horizon=80.0)
+        cfg = FitConfig(loss_kind="log-likelihood", max_iter=30)
+        calls = []
+        solve = solver._solve
+
+        def recorded(smooth, weights, mu0, A0, config):
+            res = solve(smooth, weights, mu0, A0, config)
+            calls.append((weights, mu0, A0, res))
+            return res
+
+        monkeypatch.setattr(solver, "_solve", recorded)
+        cv = cross_validate(data, params.alpha, cfg, "L1Nuclear",
+                            **self.GRIDS)
+        *path, refit = calls
+        # constant weights: w = c1 and W = c2 everywhere
+        order = [(wt.tau, wt.W[0, 0], wt.w[0]) for wt, *_ in path]
+        assert order == sorted(order, reverse=True)
+        assert len(set(order)) == len(order) == 8
+        train, _, full = self.windows(data, params.alpha)
+        for (_, mu0, A0, _), window in ((path[0], train), (refit, full)):
+            mu_init, A_init = _default_init(window, cfg.loss_kind)
+            assert np.array_equal(mu0, mu_init)
+            assert np.array_equal(A0, A_init)
+        for (*_, before), (_, mu0, A0, _) in zip(path, path[1:]):
+            assert np.array_equal(mu0, before.mu)
+            assert np.array_equal(A0, before.A)
+        assert refit[3] is cv.fit
+
+    def test_scores_in_grid_order(self, monkeypatch):
+        params, data = random_instance(15, d=2, horizon=80.0)
+        scored = []
+        heldout = solver.heldout_loglik
+
+        def recorded(mu, A, cache, *args):
+            scored.append(heldout(mu, A, cache, *args))
+            return scored[-1]
+
+        monkeypatch.setattr(solver, "heldout_loglik", recorded)
+        cv = cross_validate(data, params.alpha, FitConfig(max_iter=30),
+                            "L1Nuclear", **self.GRIDS)
+        assert [s[:3] for s in cv.scores] == list(itertools.product(
+            *self.GRIDS.values()))
+        assert [s[3] for s in cv.scores] == scored
+
+    def test_on_edge_of_a_two_by_two_grid(self):
+        # the huge constants force theta = 0, which scores worse: the
+        # smallest c1 and c2 win, both on an edge; tau has one point
+        params, data = random_instance(12, d=2, horizon=120.0)
+        cv = cross_validate(data, params.alpha, FitConfig(max_iter=60), "wL1",
+                            (0.5, 1e6), (1e6, 0.5))
+        assert cv.best == (0.5, 0.5, 0.0)
+        assert cv.on_edge == (True, True, False)
+
+    def test_interior_choice_is_not_on_edge(self, monkeypatch):
+        # the one held-out score of 1 picks the middle c1 and the larger
+        # c2; a tau grid of one value twice has no edge
+        params, data = random_instance(12, d=2, horizon=120.0)
+        scores = iter([0.0] * 6 + [1.0] + [0.0] * 5)
+        monkeypatch.setattr(solver, "heldout_loglik",
+                            lambda *args: next(scores))
+        cv = cross_validate(data, params.alpha, FitConfig(max_iter=10),
+                            "wL1Nuclear", (3.0, 1.0, 0.3), (1.0, 3.0),
+                            (0.01, 0.01))
+        assert cv.best == (1.0, 3.0, 0.01)
+        assert cv.on_edge == (False, True, False)
 
 
 class TestGradientRequests:

@@ -10,10 +10,12 @@ import weakref
 import numpy as np
 import pytest
 
-from hawkesnet import (FitConfig, SimConfig, check_opnorm_bound,
-                       check_pointwise_bound, compute_stats, cross_validate,
-                       default_bound_params, simulate)
+from hawkesnet import (ExperimentConfig, FitConfig, ScenarioConfig,
+                       SimConfig, check_opnorm_bound, check_pointwise_bound,
+                       compute_stats, cross_validate, default_bound_params,
+                       run_experiment, simulate)
 from hawkesnet import features
+from hawkesnet.features import PROCEDURES
 from hawkesnet.cli import main
 from hawkesnet.io import write_events_json
 
@@ -54,6 +56,21 @@ def test_cross_validate_sweeps_train_test_and_full_once(data, sweeps,
                         (1.0, 3.0), (1.0,))
     assert len(cv.scores) == 2
     assert len(sweeps) == 3
+
+
+def test_study_replication_sweeps_each_window_once(sweeps):
+    # per horizon: the full window, shared by NoPen and the four refits,
+    # and the train and test halves, shared by the four cross-validations
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(d=4, seed=3), horizons=(60.0, 120.0),
+        n_replications=1, seed=1, procedures=tuple(PROCEDURES),
+        c1_grid_weighted=(1.0, 3.0), c2_grid_weighted=(1.0,),
+        c1_grid_weighted_nuclear=(1.0,), c2_grid_weighted_nuclear=(1.0,),
+        c1_grid_constant=(0.01,), c2_grid_constant=(0.01, 0.03),
+        tau_grid=(0.01,), max_iter=10)
+    rows = run_experiment(cfg)
+    assert [r["failure"] for r in rows] == [None] * 10
+    assert len(sweeps) == 3 * 2
 
 
 @pytest.mark.parametrize("check", [check_pointwise_bound,
