@@ -90,11 +90,11 @@ def opnorm_bound_rhs(stats: Window, x: float) -> float:
     return theoretical_weights(stats, x).tau / 2
 
 
-def wilson_interval(k: int, n: int, conf: float = 0.99) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple:
+    """99% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
-    z = NormalDist().inv_cdf(1 - (1 - conf) / 2)
+    z = NormalDist().inv_cdf(0.995)
     p = k / n
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -39,6 +39,14 @@ def _write_params(params: ModelParams, out_dir: str, support=None) -> None:
                             os.path.join(out_dir, "support.csv"))
 
 
+def _write_weights(weights, meta: dict, out_dir: str) -> None:
+    """``weights_mu.csv``, ``weights_A.csv`` and ``weights_meta.json``."""
+    io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
+    io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
+    io.write_json({**meta, "tau": weights.tau},
+                  os.path.join(out_dir, "weights_meta.json"))
+
+
 #: the keys of the uniform model that ``simulate --config`` reads
 UNIFORM_KEYS = ("d", "mu", "a", "alpha", "T", "seed")
 
@@ -83,10 +91,7 @@ def cmd_fit(args) -> int:
     result = fit_hawkes(window, weights, cfg)
     out_dir = io.ensure_dir(args.out_dir)
     if weighting is not None:
-        io.write_vector(weights.w, os.path.join(out_dir, "weights_mu.csv"))
-        io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
-        io.write_json({"tau": weights.tau, "mode": weighting},
-                      os.path.join(out_dir, "weights_meta.json"))
+        _write_weights(weights, {"mode": weighting}, out_dir)
     io.write_vector(result.mu, os.path.join(out_dir, "mu_hat.csv"))
     io.write_matrix_csv(result.A, os.path.join(out_dir, "A_hat.csv"))
     io.write_json(result.as_dict(), os.path.join(out_dir, "diagnostics.json"))
@@ -132,6 +137,8 @@ def cmd_weights(args) -> int:
     # x is an input of theoretical weighting only; constant weights read
     # no statistics
     if args.weighting == "theoretical":
+        if args.x is None and d == 1:
+            raise ValueError("the default x = log d is 0 for d=1; pass --x")
         meta["x"] = args.x if args.x is not None else float(np.log(d))
         weights = theoretical_weights(compute_stats(data, alpha), meta["x"])
     elif args.weighting == "practical":
@@ -139,10 +146,7 @@ def cmd_weights(args) -> int:
                                     args.c2, args.tau)
     else:
         weights = constant_weights(d, args.c1, args.c2, args.tau)
-    out_dir = io.ensure_dir(args.out_dir)
-    io.write_matrix_csv(weights.W, os.path.join(out_dir, "weights_A.csv"))
-    meta.update(w=weights.w.tolist(), tau=weights.tau)
-    io.write_json(meta, os.path.join(out_dir, "weights_mu.json"))
+    _write_weights(weights, meta, io.ensure_dir(args.out_dir))
     print(json.dumps({"tau": weights.tau, "mode": args.weighting}))
     return 0
 

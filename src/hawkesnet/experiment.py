@@ -15,6 +15,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -147,16 +148,12 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     reps = range(cfg.n_replications)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_run_one_star,
-                                   [(cfg, params, support, r) for r in reps]))
+            chunks = list(pool.map(run_one, repeat(cfg), repeat(params),
+                                   repeat(support), reps))
     else:
         chunks = [run_one(cfg, params, support, r) for r in reps]
     rows = [row for chunk in chunks for row in chunk]
     return rows
-
-
-def _run_one_star(args):
-    return run_one(*args)
 
 
 def aggregate(rows: Sequence[dict]) -> list:

@@ -62,7 +62,6 @@ class ExcitationStates:
     """
 
     decay: np.ndarray  # (d,)
-    nodes: np.ndarray  # (N,)
     left: np.ndarray  # (N, d)
     post: np.ndarray  # (N, d)
     seg: np.ndarray  # (N,)
@@ -89,15 +88,14 @@ class ExcitationStates:
         return (G + G.T) / 2
 
 
-def excitation_states(data, decay_row) -> ExcitationStates:
-    """One O(N * d) sweep of the exponential recursion for one decay row."""
+def excitation_states(times, nodes, horizon_T, decay_row) -> ExcitationStates:
+    """One O(N * d) sweep of one decay row over ``EventData.merged()``."""
     a = np.asarray(decay_row, dtype=float)
-    times, nodes = data.merged()
     N = times.size
     gaps = np.diff(times, prepend=0.0)
     decay = np.exp(-_rates(a, gaps))
-    left = np.empty((N, data.d))
-    x = np.zeros(data.d)
+    left = np.empty((N, a.size))
+    x = np.zeros(a.size)
     for n, l in enumerate(nodes.tolist()):
         x *= decay[n]
         left[n] = x
@@ -113,8 +111,8 @@ def excitation_states(data, decay_row) -> ExcitationStates:
         last = np.minimum.accumulate(np.where(ends, idx, N)[::-1])[::-1]
     post = left.copy()
     post[last, nodes] += 1.0
-    return ExcitationStates(decay=a, nodes=nodes, left=left, post=post,
-                            seg=np.diff(times, append=data.horizon_T))
+    return ExcitationStates(decay=a, left=left, post=post,
+                            seg=np.diff(times, append=horizon_T))
 
 
 @dataclass(frozen=True)
@@ -189,9 +187,9 @@ class PenaltyWeights:
 
 
 def compute_stats(data, alpha) -> Window:
-    """The window of ``data``: one ``excitation_states`` sweep per distinct
-    decay row, each reduced before the next is swept, then array algebra.
-    The decays ``alpha`` must be d x d, finite and positive."""
+    """The window of ``data``: one merge of its events, one sweep of them
+    per distinct decay row, each reduced before the next is swept, then
+    array algebra.  The decays ``alpha`` must be d x d, finite, positive."""
     d, T = data.d, data.horizon_T
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (d, d):
@@ -203,11 +201,11 @@ def compute_stats(data, alpha) -> Window:
         raise ValueError("alpha must be positive")
     decays, row_block = np.unique(alpha, axis=0, return_inverse=True)
     row_block = row_block.reshape(-1)
+    times, nodes = data.merged()
     H = [None] * d
     own, sq, B, post_sq, G, int_H = [], [], [], [], [], []
     for b, a in enumerate(decays):
-        s = excitation_states(data, a)
-        nodes = s.nodes
+        s = excitation_states(times, nodes, T, a)
         for j in np.flatnonzero(row_block == b).tolist():
             H[j] = s.left[nodes == j]
         # per event n: H[j, l_n](t_n-) and |H[j, :](t_n-)|^2 for j in block b
@@ -241,14 +239,14 @@ def compute_stats(data, alpha) -> Window:
     )
 
 
-def _loglog(arg: float) -> float:
-    return 2.0 * math.log(math.log(max(arg, math.e)))
+def _loglog(arg):
+    return 2.0 * np.log(np.log(np.maximum(arg, math.e)))
 
 
 def iterated_log_mu(counts, x: float) -> np.ndarray:
     """Technical iterated-logarithm terms for the baseline weights."""
     counts = np.asarray(counts, dtype=float)
-    return np.array([_loglog((6 * n + 56 * x) / (112 * x)) for n in counts])
+    return _loglog((6 * counts + 56 * x) / (112 * x))
 
 
 def iterated_log_A(Vhat, B, x: float, T: float) -> np.ndarray:
@@ -260,7 +258,7 @@ def iterated_log_A(Vhat, B, x: float, T: float) -> np.ndarray:
     out = np.zeros_like(np.asarray(B, dtype=float))
     nz = B > 0
     arg = (6 * T * Vhat[nz] + 56 * x * B[nz] ** 2) / (112 * x * B[nz] ** 2)
-    out[nz] = 2.0 * np.log(np.log(np.maximum(arg, math.e)))
+    out[nz] = _loglog(arg)
     return out
 
 

@@ -97,18 +97,13 @@ class EventData:
 
     def shifted(self, t0: float, horizon: float) -> "EventData":
         """Events in (t0, t0 + horizon], re-based so t0 becomes the origin."""
-        evs = []
-        for e in self.events:
-            sel = e[(e > t0) & (e <= t0 + horizon)] - t0
-            evs.append(sel)
-        return EventData(horizon, tuple(evs))
+        return EventData(horizon, tuple(e[(e > t0) & (e <= t0 + horizon)] - t0
+                                        for e in self.events))
 
     def merged(self):
         """All events merged in time order: (times, node_indices)."""
-        times = np.concatenate([e for e in self.events]) if self.d else np.array([])
-        nodes = np.concatenate(
-            [np.full(e.size, j, dtype=int) for j, e in enumerate(self.events)]
-        ) if self.d else np.array([], dtype=int)
+        times = np.concatenate((np.empty(0),) + self.events)
+        nodes = np.repeat(np.arange(self.d), self.counts)
         order = np.argsort(times, kind="stable")
         return times[order], nodes[order]
 

@@ -165,10 +165,10 @@ def replication_seed(seed: int, rep: int) -> np.random.SeedSequence:
 
 
 def simulate_replication(params: ModelParams, horizon_T: float, seed: int,
-                         rep: int, max_events: Optional[int] = None) -> EventData:
+                         rep: int) -> EventData:
     """Simulate one replication with its own deterministic RNG stream."""
     ss = replication_seed(seed, rep)
     # SeedSequence itself seeds default_rng deterministically
     cfg = SimConfig(params=params, horizon_T=horizon_T,
-                    seed=ss.generate_state(1)[0], max_events=max_events)
+                    seed=ss.generate_state(1)[0])
     return simulate(cfg)

@@ -273,6 +273,8 @@ def fit_hawkes(window: Window, weights: PenaltyWeights,
 
 #: the constants cross-validation tunes, in the order ``CVResult`` keeps
 CONSTANTS = ("c1", "c2", "tau")
+#: the floor of every held-out event intensity
+HELDOUT_CLIP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -285,16 +287,16 @@ class CVResult:
     on_edge: Tuple[bool, bool, bool]
 
 
-def heldout_loglik(mu, A, cache: Window, clip: float = 1e-12) -> float:
+def heldout_loglik(mu, A, cache: Window) -> float:
     """Log-likelihood of (mu, A) on a held-out window (higher is better).
 
     ``cache`` is the held-out ``Window``.  Event intensities are clipped at
-    ``clip`` so hard-thresholded baselines do not produce -inf for every
-    candidate; a node without held-out events contributes only its
+    ``HELDOUT_CLIP`` so hard-thresholded baselines do not produce -inf for
+    every candidate; a node without held-out events adds only its
     compensator.
     """
     return -cache.horizon_T * neg_log_likelihood_cached(
-        mu, A, cache, clip, grad=False).value
+        mu, A, cache, HELDOUT_CLIP, grad=False).value
 
 
 def split_halves(data):

@@ -229,8 +229,22 @@ class TestCriterion8WeightedImprovement:
             seed=7,
             jobs=4,
         )
-        agg = aggregate(run_experiment(cfg))
+        rows = run_experiment(cfg)
+        agg = aggregate(rows)
         by = {(a["procedure"], a["T"]): a for a in agg}
+        fitted = {(r["procedure"], r["T"], r["rep"]): r for r in rows
+                  if not r["failure"]}
+
+        def margin(weighted, base, T, key):
+            """Mean and standard error of the per-replication difference
+            weighted - unweighted, over replications where both fitted."""
+            diffs = np.array([
+                fitted[(weighted, T, rep)][key] - fitted[(base, T, rep)][key]
+                for rep in range(cfg.n_replications)
+                if (weighted, T, rep) in fitted and (base, T, rep) in fitted])
+            return (f"{diffs.mean():+.4f} ± "
+                    f"{diffs.std(ddof=1) / math.sqrt(diffs.size):.4f}")
+
         ok = True
         lines = []
         for base, weighted in (("L1", "wL1"), ("L1Nuclear", "wL1Nuclear")):
@@ -244,6 +258,10 @@ class TestCriterion8WeightedImprovement:
                     f"{w['mean_auc']:.3f}/{b['mean_auc']:.3f} err "
                     f"{w['mean_error']:.3f}/{b['mean_error']:.3f} "
                     f"{'ok' if pair_ok else 'VIOLATED'}")
+                lines.append(
+                    f"  paired {weighted} - {base} @T={T:.0f}: dAUC "
+                    f"{margin(weighted, base, T, 'auc')} dErr "
+                    f"{margin(weighted, base, T, 'error')}")
         elapsed = time.time() - t0
         for line in lines:
             print("  " + line)

@@ -53,7 +53,7 @@ def test_heldout_loglik_argument_order():
     # the benchmark re-scores each captured call from its first two arguments
     solver = importlib.import_module("hawkesnet.solver")
     params = list(inspect.signature(solver.heldout_loglik).parameters)
-    assert params == ["mu", "A", "cache", "clip"]
+    assert params == ["mu", "A", "cache"]
 
 
 @pytest.fixture

@@ -332,11 +332,15 @@ class TestXvalWeights:
         assert code == 0
         W = read_matrix_csv(os.path.join(out_dir, "weights_A.csv"))
         assert W.shape == (3, 3) and np.all(W >= 0)
+        w = read_vector(os.path.join(out_dir, "weights_mu.csv"))
+        assert w.shape == (3,) and np.all(w > 0)
         meta = json.loads(open(os.path.join(out_dir,
-                                            "weights_mu.json")).read())
+                                            "weights_meta.json")).read())
         assert meta["mode"] == "theoretical"
         assert meta["x"] == 2.0
         assert meta["tau"] > 0
+        assert sorted(os.listdir(out_dir)) == [
+            "weights_A.csv", "weights_meta.json", "weights_mu.csv"]
 
     def test_weights_practical(self, sim_files, tmp_path, capsys):
         events, _ = sim_files
@@ -347,9 +351,45 @@ class TestXvalWeights:
         assert code == 0
         assert json.loads(stdout)["mode"] == "practical"
         meta = json.loads(open(os.path.join(out_dir,
-                                            "weights_mu.json")).read())
+                                            "weights_meta.json")).read())
         # x is an input of theoretical weighting only
-        assert set(meta) == {"w", "tau", "mode"}
+        assert set(meta) == {"tau", "mode"}
+
+    def test_weights_and_fit_write_the_same_penalty(self, sim_files, tmp_path,
+                                                    capsys):
+        events, _ = sim_files
+        fit_dir, w_dir = tmp_path / "fit", tmp_path / "w"
+        code, _, err = run_cli(capsys, "fit", "--events", events,
+                               "--procedure", "wL1", "--c1", "2", "--c2", "3",
+                               "--out-dir", str(fit_dir))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "weights", "--events", events,
+                               "--weighting", "practical", "--c1", "2",
+                               "--c2", "3", "--out-dir", str(w_dir))
+        assert code == 0, err
+        for name in ("weights_mu.csv", "weights_A.csv", "weights_meta.json"):
+            assert (fit_dir / name).read_bytes() == (w_dir / name).read_bytes()
+
+    def test_weights_one_node_needs_x(self, tmp_path, capsys, monkeypatch):
+        import hawkesnet.cli as cli
+        events = str(tmp_path / "ev.json")
+        code, _, _ = run_cli(capsys, "simulate", "--out", events, "--T",
+                             "200", "--mu", "0.5")
+        assert code == 0 and read_events(events).d == 1
+        windows = []
+        build = cli.compute_stats
+        monkeypatch.setattr(cli, "compute_stats",
+                            lambda *args: windows.append(1) or build(*args))
+        out = tmp_path / "w"
+        code, stdout, err = run_cli(capsys, "weights", "--events", events,
+                                    "--out-dir", str(out))
+        assert code == 1 and stdout == ""
+        assert "--x" in json.loads(err)["message"]
+        assert windows == [] and not out.exists()
+        code, _, err = run_cli(capsys, "weights", "--events", events,
+                               "--x", "1", "--out-dir", str(out))
+        assert code == 0, err
+        assert json.loads((out / "weights_meta.json").read_text())["x"] == 1.0
 
 
 class TestCheckBounds:
@@ -627,6 +667,22 @@ class TestErrors:
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
         assert message in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lacks", ["d", "T", "events"])
+    def test_events_file_names_each_missing_key(self, tmp_path, capsys,
+                                                lacks):
+        payload = {"d": 1, "T": 5.0, "events": [[1.0]]}
+        del payload[lacks]
+        events = tmp_path / "e.json"
+        events.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "fit", "--events", str(events),
+                                    "--out-dir", str(out))
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": f"{events}: events JSON object lacks ['{lacks}']"}
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, which", [

@@ -11,6 +11,7 @@ from hawkesnet import (EventData, ModelParams, PenaltyWeights, Window,
                        intensity_at, neg_log_likelihood_cached,
                        practical_weights,
                        theoretical_weights)
+from hawkesnet.features import iterated_log_A, iterated_log_mu
 from tests.conftest import random_instance
 
 
@@ -111,6 +112,27 @@ class TestComputeStats:
             for i, t in enumerate(data.events[j]):
                 assert st.H_at_events[j][i] == pytest.approx(
                     naive_H(data, params.alpha, t)[j], rel=1e-10, abs=1e-12)
+
+    def test_per_pair_decays_merge_the_events_once(self, monkeypatch):
+        # rows 0 and 2 share a constant decay row, row 1 is constant too:
+        # each distinct row's block must equal the window of that decay
+        # alone, built from its own merge
+        _, data = random_instance(5, d=3, horizon=30.0)
+        rows = np.array([0.7, 1.9, 0.7])
+        alpha = np.repeat(rows[:, None], 3, axis=1)
+        merges = []
+        merged = EventData.merged
+        monkeypatch.setattr(EventData, "merged",
+                            lambda self: merges.append(1) or merged(self))
+        st = compute_stats(data, alpha)
+        assert len(merges) == 1
+        for j, a in enumerate(rows):
+            alone = compute_stats(data, np.full((3, 3), a))
+            assert np.array_equal(st.block(j), alone.G[0])
+            for name in ("int_H", "B", "S", "Vhat"):
+                assert np.array_equal(getattr(st, name)[j],
+                                      getattr(alone, name)[j])
+            assert np.array_equal(st.H_at_events[j], alone.H_at_events[j])
 
     def test_B_monotone_under_added_events(self):
         base = EventData(10.0, (np.array([1.0, 4.0]), np.array([2.0])))
@@ -252,6 +274,28 @@ class TestSimultaneousEvents:
             / params.alpha[j, k] for j in range(d) for k in range(d))
         nll = neg_log_likelihood_cached(params.mu, params.A, window)
         assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
+
+
+class TestIteratedLog:
+    def test_mu_terms_match_the_scalar_formula(self):
+        # 0 where the argument is clamped at e, so the bound is absolute
+        counts = np.unique(np.geomspace(1, 1e6, 400).astype(int))
+        counts = np.concatenate([[0], counts])
+        for x in (0.5, 1.0, math.log(30), 8.0):
+            old = [2.0 * math.log(math.log(max((6 * n + 56 * x) / (112 * x),
+                                               math.e))) for n in counts]
+            new = iterated_log_mu(counts, x)
+            assert np.max(np.abs(new - old)) <= 4e-15
+
+    def test_A_terms_are_zero_for_never_excited_pairs(self):
+        B = np.array([[0.0, 2.0], [1.5, 0.0]])
+        Vhat = np.array([[0.0, 300.0], [0.5, 0.0]])
+        out = iterated_log_A(Vhat, B, 2.0, 100.0)
+        assert out[0, 0] == 0.0 and out[1, 1] == 0.0
+        arg = (6 * 100.0 * 300.0 + 56 * 2.0 * 4.0) / (112 * 2.0 * 4.0)
+        assert out[0, 1] == pytest.approx(2 * math.log(math.log(arg)),
+                                          rel=1e-14)
+        assert out[1, 0] == 0.0  # argument below e: clamped
 
 
 class TestTheoreticalWeights:

@@ -32,6 +32,13 @@ class TestEventsJson:
         with pytest.raises(ValueError):
             read_events(str(path))
 
+    @pytest.mark.parametrize("text", ["[[1.0]]", "3", "{}"])
+    def test_non_object_lacks_every_key(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"lacks \['d', 'T', 'events'\]"):
+            read_events(str(path))
+
 
 class TestEventsCsv:
     def test_csv_rejected_naming_json(self, tmp_path):

@@ -112,7 +112,7 @@ class TestPrecomputeGram:
         ids=["simulated", "ties-and-empty-node"])
     def test_per_pair_gram_matches_per_event_sum(self, data):
         a = np.array([0.7, 1.1, 1.9])
-        states = excitation_states(data, a)
+        states = excitation_states(*data.merged(), data.horizon_T, a)
         asum = a[:, None] + a[None, :]
         expected = np.zeros((3, 3))
         for y, s in zip(states.post, states.seg):

@@ -369,8 +369,7 @@ class TestHeldoutLoglik:
     def test_clip_floors_zero_intensities(self):
         data = EventData(10.0, (np.array([1.0, 2.0]), np.array([3.0])))
         window = compute_stats(data, np.ones((2, 2)))
-        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), window,
-                               clip=1e-12)
+        score = heldout_loglik(np.array([0.5, 0.0]), np.zeros((2, 2)), window)
         assert score == pytest.approx(2 * np.log(0.5) - 5.0 + np.log(1e-12),
                                       rel=1e-14)
 
