@@ -107,6 +107,8 @@ def default_bound_params(d: int, mu: float = 0.5, coupling_opnorm: float = 0.5,
     """The uniform model of the bound checks and of ``simulate``: every
     baseline mu, every decay alpha, and a constant coupling matrix with
     operator norm ``coupling_opnorm``."""
+    if d <= 0:
+        raise ValueError("d must be positive")
     A = np.full((d, d), coupling_opnorm / d)  # operator norm of ones(d) is d
     return ModelParams(mu=np.full(d, mu), A=A, alpha=np.full((d, d), alpha))
 

@@ -46,6 +46,13 @@ def prox_trace(V, tau_step: float):
         raise ValueError("tau_step must be nonnegative")
     if tau_step == 0:
         return V.copy()
-    U, s, Vt = np.linalg.svd(V, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(V, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer SVD (gesdd) fails to converge on rare
+        # finite matrices, such as a d=100 split iterate with entries from
+        # 0.1 down to 1e-42; the transpose takes another path through it
+        Ut, s, Vtt = np.linalg.svd(V.T, full_matrices=False)
+        U, Vt = Vtt.T, Ut.T
     s_thr = np.maximum(s - tau_step, 0.0)
     return (U * s_thr) @ Vt

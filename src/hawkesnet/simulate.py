@@ -35,6 +35,15 @@ def simulate(config: SimConfig) -> EventData:
     so that value is a valid upper bound until the next jump.  An unstable
     model (spectral radius of A / alpha >= 1), whose event count may grow
     without bound, is simulated only under ``max_events``.
+
+    Rows j of alpha with equal decays excite alike, so the state is kept
+    once per distinct decay row r (m <= d of them), as ``features``
+    keeps it: X[r, k] is the sum of exp(-decays[r, k] (t_x - t_i)) over the
+    events t_i of node k up to the last accepted time t_x, and C[r, k] is
+    the sum of A[j, k] over the rows j of block r.  The total excitation at
+    t is then sum over r, k of C X e^{-decays (t - t_x)}.  A candidate costs
+    O(m d), and one ``math.exp`` when alpha is uniform; an accepted event
+    costs O(d^2) for the per-node intensities that pick its node.
     """
     params, T = config.params, config.horizon_T
     if config.max_events is None:
@@ -43,33 +52,52 @@ def simulate(config: SimConfig) -> EventData:
             raise ValueError(f"spectral radius {rho:.3f} >= 1; an unstable "
                              "model is simulated only under max_events")
     d = params.d
-    mu, A, alpha = params.mu, params.A, params.alpha
+    mu, A = params.mu, params.A
     rng = np.random.default_rng(config.seed)
+    # rng.uniform() is rng.random() bit for bit, plus argument handling
+    uniform = rng.random
 
-    G = np.zeros((d, d))  # G[j, k] = sum over past events of k of exp(-alpha[j,k] dt)
-    lam = mu.copy()
-    lam_bar = float(lam.sum())
-    t = 0.0
+    decays, row_block = np.unique(params.alpha, axis=0, return_inverse=True)
+    row_block = row_block.reshape(-1)
+    m = len(decays)
+    C = np.zeros((m, d))
+    np.add.at(C, row_block, A)
+    X = np.zeros((m, d))
+    # when each block's decays are equal, the block decays at one rate, and
+    # a single block (a uniform alpha) at one math.exp of a running scalar
+    flat = bool(np.all(np.ptp(decays, axis=1) == 0))
+    rates = decays[:, :1] if flat else decays
+    scalar = flat and m == 1
+    rate, col = float(decays[0, 0]), C[0].tolist()
+    exc, CX = 0.0, np.zeros(rates.shape)  # excitation at t_x: total, per rate
+    mu_sum = float(mu.sum())
+    lam_bar = mu_sum
+    t = t_x = 0.0
     events = [[] for _ in range(d)]
     n_total = 0
 
-    while True:
-        if lam_bar <= 0:
-            break
-        w = rng.exponential(1.0 / lam_bar)
-        t_new = t + w
+    while lam_bar > 0:
+        t_new = t + rng.exponential(1.0 / lam_bar)
         if t_new > T:
             break
-        G *= np.exp(-alpha * (t_new - t))
-        lam = mu + (A * G).sum(axis=1)
-        lam_tot = float(lam.sum())
-        if not np.isfinite(lam_tot):
-            raise SimulationOverflowError("non-finite intensity encountered")
-        u = rng.uniform()
         t = t_new
+        if scalar:
+            E = math.exp(-rate * (t - t_x))
+            lam_tot = mu_sum + exc * E
+        else:
+            E = np.exp(-rates * (t - t_x))
+            lam_tot = mu_sum + float(np.vdot(CX, E))
+        if not math.isfinite(lam_tot):
+            raise SimulationOverflowError("non-finite intensity encountered")
+        u = uniform()
         if u * lam_bar <= lam_tot:
             # accept; attribute the event proportionally to per-node intensities
-            node = int(np.searchsorted(np.cumsum(lam), u * lam_bar))
+            X *= E
+            t_x = t
+            lam = A.dot(X[0]) if m == 1 \
+                else np.einsum("jk,jk->j", A, X[row_block])
+            lam += mu
+            node = int(lam.cumsum().searchsorted(u * lam_bar))
             node = min(node, d - 1)
             events[node].append(t)
             n_total += 1
@@ -78,9 +106,16 @@ def simulate(config: SimConfig) -> EventData:
                     f"exceeded max_events={config.max_events}; "
                     "parameters may be non-stationary"
                 )
-            G[:, node] += 1.0
-            lam = lam + A[:, node]
-        lam_bar = float(lam.sum())
+            X[:, node] += 1.0
+            if scalar:
+                exc = exc * E + col[node]
+            else:
+                CX = C * X
+                if flat:
+                    CX = CX.sum(axis=1, keepdims=True)
+                exc = float(CX.sum())
+            lam_tot = mu_sum + exc
+        lam_bar = lam_tot
 
     return EventData(T, tuple(np.array(e) for e in events))
 

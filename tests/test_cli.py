@@ -711,6 +711,19 @@ class TestErrors:
         assert f"alpha must be {which}" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [("simulate",),
+                                      ("check-bounds", "--which", "opnorm")])
+    def test_non_positive_d_rejected_before_writing(self, tmp_path, capsys,
+                                                    argv, d):
+        out = tmp_path / "out.json"
+        code, stdout, err = run_cli(capsys, *argv, "--d", d, "--out",
+                                    str(out))
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "d must be positive"}
+        assert not out.exists()
+
     def test_failed_fit_writes_nothing(self, sim_files, tmp_path, capsys,
                                        monkeypatch):
         import hawkesnet.cli as cli

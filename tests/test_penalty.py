@@ -99,6 +99,25 @@ class TestProxTrace:
             residual = (V - X) - tau * (U @ Vt)
             assert np.linalg.norm(residual) <= 1e-8
 
+    def test_svd_failure_retried_on_the_transpose(self, monkeypatch):
+        # LAPACK's gesdd can fail to converge on a finite matrix (a d=100
+        # log-likelihood split iterate did); the transpose is retried
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(4, 3))
+        want = prox_trace(V, 0.5)
+        svd, seen = np.linalg.svd, []
+
+        def flaky_svd(M, *args, **kwargs):
+            seen.append(M.shape)
+            if len(seen) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+        got = prox_trace(V, 0.5)
+        assert seen == [(4, 3), (3, 4)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     @given(st.floats(0.0, 4.0))
     @settings(max_examples=30, deadline=None)
     def test_singular_values_shrink(self, tau):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from hawkesnet import (ModelParams, ScenarioConfig, SimConfig,
                        default_bound_params, generate_scenario, mean_stationary_intensity,
                        scaled_box_ranges, simulate, simulate_replication)
 from hawkesnet.simulate import SimulationOverflowError
-from tests.conftest import count_covariance_rate, expected_counts
+from tests.conftest import compensator_increments, count_covariance_rate, \
+    expected_counts, reference_thinning
 
 
 def poisson_params(d=1, mu=0.1):
@@ -28,7 +30,96 @@ CROSS_EXCITING = {
 }
 
 
+def _two_block_alpha():
+    alpha = np.ones((4, 4))
+    alpha[2:] = 2.5  # rows 0-1 decay at 1, rows 2-3 at 2.5: two blocks
+    return alpha
+
+
+# (params or the name of a fixture, horizon) that the d x d oracle checks:
+# uniform, triangular and ring couplings, the bound models up to d=30, the
+# d=30 scenario, per-pair decays, two decay blocks, and a node that never
+# fires (mu = 0, zero row and column of A), which puts a flat step in the
+# cumulative intensities the accepted events are attributed by
+ORACLE_MODELS = {
+    **{name: (p, 200.0) for name, p in CROSS_EXCITING.items()},
+    **{f"bound-d{d}": (default_bound_params(d), 200.0) for d in (3, 5, 30)},
+    "scenario-d30": (generate_scenario(ScenarioConfig(d=30, seed=42))[0],
+                     200.0),
+    "per-pair": ("small_params", 300.0),
+    "two-blocks": (ModelParams(mu=[0.3, 0.2, 0.1, 0.4],
+                               A=0.15 * np.ones((4, 4)),
+                               alpha=_two_block_alpha()), 300.0),
+    "silent-node": (ModelParams(mu=[0.4, 0.0, 0.3],
+                                A=[[0.3, 0.0, 0.2], [0.0, 0.0, 0.0],
+                                   [0.4, 0.0, 0.1]],
+                                alpha=np.full((3, 3), 1.2)), 300.0),
+}
+
+# time-rescaling: a per-pair model of spectral radius 0.59 beside two
+# uniform ones; 4 streams each on [0, 1000], about 36k increments
+RESCALING_MODELS = (
+    CROSS_EXCITING["d3-ring"],
+    default_bound_params(5),
+    ModelParams(mu=[0.3, 0.2, 0.4],
+                A=[[0.3, 0.6, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.2]],
+                alpha=[[1.0, 2.0, 0.5], [1.5, 1.0, 2.5], [2.0, 0.7, 1.2]]),
+)
+#: the level of the pooled KS test.  Under a correct simulator its p-value
+#: is uniform over the choice of seeds, so it fails on 1 in 1000 choices
+RESCALING_LEVEL = 1e-3
+
+
+def pooled_increments(simulated, T=1000.0, streams=4):
+    """The compensator increments, under each model of RESCALING_MODELS, of
+    the streams drawn from ``simulated(model)``, pooled."""
+    return np.concatenate([
+        compensator_increments(
+            simulate(SimConfig(params=simulated(p), horizon_T=T,
+                               seed=100 * i + s)), p)
+        for i, p in enumerate(RESCALING_MODELS) for s in range(streams)])
+
+
 class TestThinning:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_the_dense_reference(self, name, request):
+        # the same random draws decide the same events: equal counts, and
+        # event times equal up to rounding
+        params, T = ORACLE_MODELS[name]
+        if isinstance(params, str):
+            params = request.getfixturevalue(params)
+        for seed in (0, 1):
+            got = simulate(SimConfig(params=params, horizon_T=T, seed=seed))
+            want = reference_thinning(params, T, seed)
+            assert np.array_equal(got.counts, want.counts)
+            assert got.total_events() > 0
+            for g, w in zip(got.events, want.events):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
+        if name == "silent-node":
+            assert got.counts[1] == 0
+
+    def test_max_events_raises_at_the_next_event(self):
+        params, T = default_bound_params(5), 100.0
+        n = reference_thinning(params, T, 3).total_events()
+        data = simulate(SimConfig(params=params, horizon_T=T, seed=3,
+                                  max_events=n))
+        assert data.total_events() == n
+        with pytest.raises(SimulationOverflowError, match=f"={n - 1}"):
+            simulate(SimConfig(params=params, horizon_T=T, seed=3,
+                               max_events=n - 1))
+
+    def test_time_rescaled_increments_are_exp1(self):
+        z = pooled_increments(lambda p: p)
+        assert z.size > 30_000
+        assert kstest(z, "expon").pvalue > RESCALING_LEVEL
+
+    def test_time_rescaling_sees_a_wrong_decay(self):
+        # (2A, 2 alpha) has the same branching matrix A / alpha, and so the
+        # same mean counts, but a kernel twice as fast
+        z = pooled_increments(lambda p: ModelParams(mu=p.mu, A=2 * p.A,
+                                                    alpha=2 * p.alpha))
+        assert kstest(z, "expon").pvalue < RESCALING_LEVEL
+
     def test_poisson_count_distribution(self):
         # A = 0 reduces to Poisson(mu * T): mean and variance within 3 SE
         mu, T, reps = 0.1, 100.0, 500
