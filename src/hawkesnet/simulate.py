@@ -63,13 +63,10 @@ def simulate(config: SimConfig) -> EventData:
     C = np.zeros((m, d))
     np.add.at(C, row_block, A)
     X = np.zeros((m, d))
-    # when each block's decays are equal, the block decays at one rate, and
-    # a single block (a uniform alpha) at one math.exp of a running scalar
-    flat = bool(np.all(np.ptp(decays, axis=1) == 0))
-    rates = decays[:, :1] if flat else decays
-    scalar = flat and m == 1
+    # a uniform alpha decays at one rate: one math.exp of a running scalar
+    scalar = m == 1 and np.ptp(decays) == 0
     rate, col = float(decays[0, 0]), C[0].tolist()
-    exc, CX = 0.0, np.zeros(rates.shape)  # excitation at t_x: total, per rate
+    exc, CX = 0.0, np.zeros((m, d))  # excitation at t_x: total, per (r, k)
     mu_sum = float(mu.sum())
     lam_bar = mu_sum
     t = t_x = 0.0
@@ -85,7 +82,7 @@ def simulate(config: SimConfig) -> EventData:
             E = math.exp(-rate * (t - t_x))
             lam_tot = mu_sum + exc * E
         else:
-            E = np.exp(-rates * (t - t_x))
+            E = np.exp(-decays * (t - t_x))
             lam_tot = mu_sum + float(np.vdot(CX, E))
         if not math.isfinite(lam_tot):
             raise SimulationOverflowError("non-finite intensity encountered")
@@ -111,8 +108,6 @@ def simulate(config: SimConfig) -> EventData:
                 exc = exc * E + col[node]
             else:
                 CX = C * X
-                if flat:
-                    CX = CX.sum(axis=1, keepdims=True)
                 exc = float(CX.sum())
             lam_tot = mu_sum + exc
         lam_bar = lam_tot

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,23 @@ class TestProxTrace:
         got = prox_trace(V, 0.5)
         assert seen == [(4, 3), (3, 4)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_split_iterate_that_gesdd_rejects(self):
+        # the trace-norm step's input at one round of a d=100
+        # log-likelihood wL1Nuclear fit (entries 0.1 down to 1e-42), saved
+        # bit for bit: gesdd in numpy 2.4's OpenBLAS raises "SVD did not
+        # converge" on it and converges on its transpose
+        path = Path(__file__).parent / "data" / "svd_nonconvergent_iterate.npz"
+        with np.load(path) as f:
+            V = f["V"]
+        assert V.shape == (100, 100) and np.all(np.isfinite(V))
+        s = np.linalg.svd(V.T, compute_uv=False)
+        for tau in (0.01, 0.05):
+            X = prox_trace(V, tau)
+            assert np.all(np.isfinite(X))
+            np.testing.assert_allclose(
+                np.linalg.svd(X, compute_uv=False), np.maximum(s - tau, 0.0),
+                rtol=0, atol=1e-12)
 
     @given(st.floats(0.0, 4.0))
     @settings(max_examples=30, deadline=None)
