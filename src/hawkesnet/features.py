@@ -11,7 +11,9 @@ distinct decay row, O(N * d) for N merged events.  ``compute_stats`` makes
 that one sweep per observation window and reduces each row's N x d states,
 before it sweeps the next row, to a frozen ``Window``: the Gram integrals
 and event left limits both losses read, and the suprema and variation
-estimates the weights and the bounds read.  A uniform alpha has one
+estimates the weights and the bounds read.  int H dt and the Gram block of
+a row both come from one factor 1 - e^{-a s} per segment of length s,
+applied to the recursion's own post-jump states.  A uniform alpha has one
 distinct row: O(N * d) time and O(d^2) memory beyond the states and the
 left limits.
 
@@ -56,9 +58,10 @@ class ExcitationStates:
 
     x_k(t) = sum_{t_{k,i} < t} exp(-a[k] * (t - t_{k,i})) is H[j, :] for
     every row j of alpha equal to a.  left[n] = x(t_n-) excludes every event
-    at t_n; post[n] is x on the seg[n] long segment from event n to the next
-    event or T.  Of events at one timestamp only the last has a nonempty
-    segment, and its post state carries all their jumps.
+    at t_n; post[n], the recursion's state just after event n, is x on the
+    seg[n] long segment to the next event or T.  Of events at one timestamp
+    only the last has a nonempty segment, and its post state carries all
+    their jumps.
     """
 
     decay: np.ndarray  # (d,)
@@ -66,26 +69,23 @@ class ExcitationStates:
     post: np.ndarray  # (N, d)
     seg: np.ndarray  # (N,)
 
-    def integral(self) -> np.ndarray:
-        """int_0^T x(t) dt."""
-        rates = _rates(self.decay, self.seg)
-        return np.sum(-np.expm1(-rates) / self.decay * self.post, axis=0)
-
-    def gram(self) -> np.ndarray:
-        """int_0^T x(t) x(t)^T dt: one GEMM when the decays are equal, else
-        two.  On a segment of length s the (k, l) entry integrates to
-        y_k y_l (1 - e^{-(a_k + a_l) s}) / (a_k + a_l), and with
-        p = 1 - e^{-a s} and q = e^{-a s} per decay,
-        1 - e^{-(a_k + a_l) s} = p_k + q_k p_l: a sum of nonnegative terms,
-        so nothing cancels."""
-        a, y, seg = self.decay, self.post, self.seg
-        if np.ptp(a) == 0:
-            w = y * np.sqrt(-np.expm1(-2 * a[0] * seg) / (2 * a[0]))[:, None]
-            return w.T @ w
-        rates = _rates(a, seg)
-        yp = y * -np.expm1(-rates)
+    def integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """int_0^T x(t) dt and int_0^T x(t) x(t)^T dt, both from one factor
+        p = 1 - e^{-a s} per segment of length s.  The Gram is one GEMM when
+        the decays are equal, else two: on a segment the (k, l) entry
+        integrates to y_k y_l (1 - e^{-(a_k + a_l) s}) / (a_k + a_l), and
+        with q = e^{-a s}, 1 - e^{-(a_k + a_l) s} = p_k + q_k p_l: a sum of
+        nonnegative terms, so nothing cancels."""
+        a, y = self.decay, self.post
+        rates = _rates(a, self.seg)
+        p = -np.expm1(-rates)
+        if rates.shape[1] == 1:
+            int_x = np.sum(p / a * y, axis=0)
+            w = y * np.sqrt(-np.expm1(-2 * rates) / (2 * a[0]))
+            return int_x, w.T @ w
+        yp = np.multiply(y, p, out=p)
         G = (yp.T @ y + (y * np.exp(-rates)).T @ yp) / (a[:, None] + a)
-        return (G + G.T) / 2
+        return yp.sum(axis=0) / a, (G + G.T) / 2
 
 
 def excitation_states(times, nodes, horizon_T, decay_row) -> ExcitationStates:
@@ -100,17 +100,12 @@ def excitation_states(times, nodes, horizon_T, decay_row) -> ExcitationStates:
         x *= decay[n]
         left[n] = x
         x[l] += 1.0
-    idx = np.arange(N)
-    last = idx
-    if N and not np.all(gaps[1:] > 0):
-        # every event of a timestamp reads the state before the first of
-        # them; the last of them carries the jumps of all
-        starts = gaps > 0
-        left = left[np.maximum.accumulate(np.where(starts, idx, 0))]
-        ends = np.append(starts[1:], True)
-        last = np.minimum.accumulate(np.where(ends, idx, N)[::-1])[::-1]
     post = left.copy()
-    post[last, nodes] += 1.0
+    post[np.arange(N), nodes] += 1.0
+    if N and not np.all(gaps[1:] > 0):
+        # every event of a timestamp reads the state before the first of them
+        starts = np.where(gaps > 0, np.arange(N), 0)
+        left = left[np.maximum.accumulate(starts)]
     return ExcitationStates(decay=a, left=left, post=post,
                             seg=np.diff(times, append=horizon_T))
 
@@ -203,7 +198,7 @@ def compute_stats(data, alpha) -> Window:
     row_block = row_block.reshape(-1)
     times, nodes = data.merged()
     H = [None] * d
-    own, sq, B, post_sq, G, int_H = [], [], [], [], [], []
+    own, sq, B, post_sq, integrals = [], [], [], [], []
     for b, a in enumerate(decays):
         s = excitation_states(times, nodes, T, a)
         for j in np.flatnonzero(row_block == b).tolist():
@@ -214,9 +209,9 @@ def compute_stats(data, alpha) -> Window:
         # H[:, k] jumps only at the events of node k, so its sup follows one
         B.append(s.post.max(axis=0, initial=0.0))
         post_sq.append(np.einsum("nk,nk->n", s.post, s.post).max(initial=0.0))
-        G.append(s.gram())
-        int_H.append(s.integral())
+        integrals.append(s.integrals())
         del s  # O(N * d) memory: one row's states at a time
+    int_H, G = zip(*integrals)
     own, sq = np.stack(own, axis=1), np.stack(sq, axis=1)
     h2inf_sq = sq.max(axis=1)
     denom = sq[np.arange(nodes.size), row_block[nodes]]

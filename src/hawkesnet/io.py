@@ -38,16 +38,20 @@ def read_events(path: str) -> EventData:
         raise ValueError(
             f"{path}: events must be JSON {{\"d\", \"T\", \"events\"}}; a "
             "node,time CSV carries neither the horizon T nor the dimension d")
-    with open(path) as f:
-        payload = json.load(f)
-    missing = [k for k in ("d", "T", "events")
-               if not isinstance(payload, dict) or k not in payload]
-    if missing:
-        raise ValueError(f"{path}: events JSON object lacks {missing}")
-    events = tuple(np.array(ev, dtype=float) for ev in payload["events"])
-    if len(events) != payload["d"]:
-        raise ValueError("event file is inconsistent: d != number of lists")
-    return EventData(float(payload["T"]), events)
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        missing = [k for k in ("d", "T", "events")
+                   if not isinstance(payload, dict) or k not in payload]
+        if missing:
+            raise ValueError(f"events JSON object lacks {missing}")
+        events = tuple(np.array(ev, dtype=float) for ev in payload["events"])
+        if len(events) != payload["d"]:
+            raise ValueError("event file is inconsistent: d != number of "
+                             "lists")
+        return EventData(float(payload["T"]), events)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_matrix_csv(M, path: str) -> None:

@@ -685,6 +685,28 @@ class TestErrors:
             "message": f"{events}: events JSON object lacks ['{lacks}']"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"d": 1, "T": "x", "events": [[1.0]]}',
+         "could not convert string to float: 'x'"),
+        ('{"d": 2, "T": 5.0, "events": [[1.0]]}',
+         "event file is inconsistent: d != number of lists"),
+        ('{"d": 1, "T": 5.0, "events": [[2.0, 1.0]]}',
+         "timestamps must be strictly increasing per node"),
+        ('{"d": 1, "T": 5.0, "events": 3}', "'int' object is not iterable"),
+    ], ids=["non-numeric-T", "list-count", "unsorted-timestamps",
+            "events-not-a-list"])
+    def test_events_file_named_in_every_error(self, tmp_path, capsys, text,
+                                              message):
+        events = tmp_path / "e.json"
+        events.write_text(text)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "fit", "--events", str(events),
+                                    "--out-dir", str(out))
+        assert code == 1 and stdout == ""
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{events}: {message}"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, which", [
         (("fit", "--alpha-file"), "2 x 2"),
         (("fit", "--alpha", "0"), "positive"),

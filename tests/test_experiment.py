@@ -5,7 +5,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from hawkesnet import ExperimentConfig, aggregate, run_experiment
+from hawkesnet import EventData, ExperimentConfig, aggregate, run_experiment
 from hawkesnet import experiment, solver
 from hawkesnet.cli import main
 from hawkesnet.experiment import COLUMNS
@@ -181,6 +181,25 @@ class TestFailedFits:
             capsys.readouterr().out)}
         assert printed["L1"]["n_failed"] == 2
         assert printed["L1"]["mean_error"] is None
+
+    def test_empty_half_fails_the_penalised_rows_only(self, monkeypatch):
+        # no event in (T/2, T]: NoPen fits the full window, every
+        # cross-validated procedure has an empty test half
+        simulate = experiment.simulate_replication
+        monkeypatch.setattr(
+            experiment, "simulate_replication",
+            lambda params, T, seed, rep: EventData(
+                T, simulate(params, T / 2, seed, rep).events))
+        cfg = tiny_config(n_replications=1, procedures=tuple(PROCEDURES))
+        rows = {r["procedure"]: r for r in run_experiment(cfg)}
+        assert rows["NoPen"]["failure"] is None
+        assert rows["NoPen"]["error"] > 0
+        for procedure in PROCEDURES:
+            if procedure == "NoPen":
+                continue
+            row = rows[procedure]
+            assert row["failure"] == "ValueError: empty train or test half"
+            assert all(row[key] is None for key in COLUMNS[3:-1])
 
     def test_aggregate_averages_the_fitted_rows_only(self):
         rows = [

@@ -245,13 +245,17 @@ class TestSimultaneousEvents:
         assert b.S == pytest.approx(a.S[P], rel=1e-12)
         assert b.block(0) == pytest.approx(a.block(0)[P], rel=1e-12)
 
-    def test_matches_intensity_at_with_cross_node_ties(self):
-        rng = np.random.default_rng(5)
-        d, T = 3, 6.0
+    @staticmethod
+    def tie_window(rng):
         grid = np.arange(1, 24) * 0.25  # shared grid: many cross-node ties
         events = tuple(np.sort(rng.choice(grid, size=8, replace=False))
-                       for _ in range(d))
-        data = EventData(T, events)
+                       for _ in range(3))
+        return EventData(6.0, events)
+
+    def test_matches_intensity_at_with_cross_node_ties(self):
+        rng = np.random.default_rng(5)
+        data = self.tie_window(rng)
+        d, T = data.d, data.horizon_T
         params = ModelParams(mu=rng.uniform(0.2, 0.5, d),
                              A=rng.uniform(0.0, 0.3, (d, d)),
                              alpha=rng.uniform(0.5, 2.0, (d, d)))
@@ -274,6 +278,36 @@ class TestSimultaneousEvents:
             / params.alpha[j, k] for j in range(d) for k in range(d))
         nll = neg_log_likelihood_cached(params.mu, params.A, window)
         assert nll.value == pytest.approx((comp - logs) / T, rel=1e-12)
+
+    def test_every_reduction_with_per_pair_decays_and_ties(self):
+        # each segment between distinct timestamps starts from H(t+), which
+        # counts every event at t: a tie jump missing from the post-jump
+        # states shows in B, sup_H_2inf, int_H and the Gram
+        rng = np.random.default_rng(5)
+        data = self.tie_window(rng)
+        d, T = data.d, data.horizon_T
+        times = np.concatenate(data.events)
+        assert np.unique(times).size < times.size
+        alpha = rng.uniform(0.5, 2.0, (d, d))
+        window = compute_stats(data, alpha)
+        V, V1, V2, B, sup = naive_stats(data, alpha)
+        assert window.Vhat == pytest.approx(V, rel=1e-12, abs=1e-14)
+        assert window.Vhat1 == pytest.approx(V1, rel=1e-12, abs=1e-14)
+        assert window.Vhat2 == pytest.approx(V2, rel=1e-12, abs=1e-14)
+        assert window.B == pytest.approx(B, rel=1e-12, abs=1e-14)
+        assert window.sup_H_2inf == pytest.approx(sup, rel=1e-12)
+        int_H, G = np.zeros((d, d)), np.zeros((d, d, d))
+        edges = np.unique(np.concatenate([[0.0], times, [T]]))
+        for t, s in zip(edges[:-1], np.diff(edges)):
+            H = naive_H(data, alpha, t, closed=True)
+            int_H += H * -np.expm1(-alpha * s) / alpha
+            for j in range(d):
+                asum = alpha[j][:, None] + alpha[j]
+                G[j] += np.outer(H[j], H[j]) * -np.expm1(-asum * s) / asum
+        assert window.int_H == pytest.approx(int_H, rel=1e-12)
+        assert len(window.G) == d
+        for j in range(d):
+            assert window.block(j) == pytest.approx(G[j] / T, rel=1e-12)
 
 
 class TestIteratedLog:

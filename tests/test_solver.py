@@ -6,7 +6,7 @@ import pytest
 from hawkesnet import (CVResult, EventData, FitConfig, ModelParams,
                        PenaltyWeights, ScenarioConfig, SimConfig,
                        compute_stats, cross_validate,
-                       fit_hawkes, generate_scenario,
+                       default_bound_params, fit_hawkes, generate_scenario,
                        mean_stationary_intensity, pen_value,
                        practical_weights, simulate)
 from hawkesnet import solver
@@ -83,6 +83,28 @@ class TestFitFista:
                         FitConfig(max_iter=5))
         assert not res.sufficient_decrease_ok
         assert res.as_dict()["sufficient_decrease_ok"] is False
+
+    def test_restarts_from_an_infeasible_momentum_point(self, monkeypatch):
+        # a short stream where one momentum step of the NoPen
+        # log-likelihood fit leaves the region of positive intensities:
+        # FISTA must restart from x instead of stepping from y
+        params = default_bound_params(3, mu=0.2, coupling_opnorm=0.6)
+        data = simulate(SimConfig(params=params, horizon_T=20.0, seed=9))
+        values = []
+        loss = solver._loss
+
+        def spied(smooth, x, d):
+            out = loss(smooth, x, d)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "_loss", spied)
+        res = fit_hawkes(compute_stats(data, params.alpha), zero_weights(3),
+                         FitConfig(loss_kind="log-likelihood", max_iter=200))
+        assert not all(np.isfinite(values))
+        assert res.converged and res.sufficient_decrease_ok
+        estimate = np.concatenate([res.mu, res.A.ravel()])
+        assert np.all(np.isfinite(estimate)) and np.all(estimate >= 0)
 
     def test_consistency_long_run(self):
         # d=2, T=5000 unpenalized: median relative error over 5 seeds < 15%
@@ -522,6 +544,18 @@ class TestCrossValidatePath:
         assert cv.on_edge == (False, True, False)
 
 
+class TestSplitHalves:
+    def test_window_too_short(self):
+        data = EventData(1.5, (np.array([0.2, 1.0]),))
+        with pytest.raises(ValueError, match="window too short to split"):
+            split_halves(data)
+
+    def test_no_event_in_the_second_half(self):
+        data = EventData(10.0, (np.array([1.0, 4.0]), np.array([5.0])))
+        with pytest.raises(ValueError, match="empty train or test half"):
+            split_halves(data)
+
+
 class TestGradientRequests:
     """Line-search trials ask the loss for its value only."""
 
@@ -546,7 +580,8 @@ class TestGradientRequests:
                      constant_weights(3, 0.01, 0.01, tau=tau),
                      *_default_init(window, loss_kind), FitConfig(max_iter=50))
         # a gradient at an infeasible point (a restarted FISTA momentum
-        # step, a rebuilt split z) is not one, and None is returned
+        # step, as in TestFitFista, or a rebuilt split z) is not one, and
+        # None is returned
         gradients = sum(finite for grad, finite in calls if grad)
         if tau == 0:  # FISTA: one y per iteration, the start value only
             assert gradients == res.iterations_used
