@@ -151,16 +151,23 @@ class Window:
         """(1/T) int_0^T H dt, computed on first use."""
         return self.int_H / self.horizon_T
 
+    @cached_property
+    def target(self) -> np.ndarray:
+        """The packed target b = (counts / T, S.ravel()) of the
+        least-squares risk, computed on first use."""
+        return np.concatenate((self.counts / self.horizon_T, self.S.ravel()))
+
     def block(self, j: int) -> np.ndarray:
         """The (d, d) Gram integrals of row j."""
         return self.G[self.row_block[j]]
 
-    def apply(self, A) -> np.ndarray:
+    def apply(self, A, out=None) -> np.ndarray:
         """Each row of A through its Gram block: out[j] = G_j @ A[j], one
-        GEMM when every row reads the same block."""
+        GEMM when every row reads the same block; into ``out`` when given."""
         if len(self.G) == 1:
-            return A @ self.G[0].T
-        out = np.empty_like(A)
+            return np.matmul(A, self.G[0].T, out=out)
+        if out is None:
+            out = np.empty_like(A)
         for b, G in enumerate(self.G):
             rows = self.row_block == b
             out[rows] = A[rows] @ G.T

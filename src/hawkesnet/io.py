@@ -59,8 +59,17 @@ def write_matrix_csv(M, path: str) -> None:
                delimiter=",", fmt=FLOAT_FMT)
 
 
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of ``path``; a malformed file raises ValueError with
+    the path in its message."""
+    try:
+        return np.loadtxt(path, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    return np.atleast_2d(_loadtxt(path, delimiter=","))
 
 
 def write_vector(v, path: str) -> None:
@@ -68,7 +77,7 @@ def write_vector(v, path: str) -> None:
 
 
 def read_vector(path: str) -> np.ndarray:
-    return np.atleast_1d(np.loadtxt(path))
+    return np.atleast_1d(_loadtxt(path))
 
 
 def write_json(obj: Union[dict, list], path: str) -> None:

@@ -4,11 +4,14 @@ Both losses read the parameter-independent ``features.Window`` of the data,
 built by one event sweep (``features.compute_stats``), so solver iterations
 never touch the raw event stream:
 
-* least squares uses the closed-form Gram integrals G of the excitation
-  process H (pairwise products of decaying exponentials integrate
-  analytically between consecutive events), one d x d block per distinct
-  decay row, with psi = int_H / T and S: one GEMM through the Gram blocks
-  (``Window.apply``) and elementwise d x d algebra;
+* least squares is one quadratic in the packed point x = (mu, A.ravel()):
+  the risk x . (Qx - 2b) with gradient 2(Qx - b).  Q holds the identity
+  on mu, psi = int_H / T between mu and A, and the closed-form Gram
+  integrals G of the excitation process H on A (pairwise products of
+  decaying exponentials integrate analytically between consecutive
+  events), one d x d block per distinct decay row; b = (counts / T,
+  S.ravel()) is ``Window.target``.  One evaluation is one GEMM through
+  the Gram blocks (``Window.apply``) and O(d^2) algebra;
 * the log-likelihood uses the per-event left-limits H_at_events plus the
   integrals int_H of H over the window.  It is one array program over the
   N events of the window, node by node in ``counts`` order: per nonempty
@@ -52,25 +55,45 @@ def _checked(mu, A, window: Window):
     return mu, A
 
 
-def least_squares(mu, A, window: Window, grad: bool = True) -> LossValueGrad:
-    """Least-squares empirical risk and, with ``grad``, its gradient from the
-    Gram integrals."""
-    mu, A = _checked(mu, A, window)
-    T, psi, counts = window.horizon_T, window.psi, window.counts
-    GA = window.apply(A)
-    A_psi = np.einsum("jk,jk->j", A, psi)
-    value = float(
-        np.sum(mu * mu)
-        + 2 * np.sum(mu * A_psi)
-        + np.sum(A * GA)
-        - 2 * np.sum(mu * counts) / T
-        - 2 * np.sum(A * window.S)
-    )
+def packed_least_squares(x, window: Window, grad: bool = True):
+    """The least-squares risk at the packed point x = (mu, A.ravel()) and,
+    with ``grad``, its packed gradient (else None).
+
+    The risk is the quadratic x . (Qx - 2b) with target b =
+    ``window.target``.  Its residual q = Qx - b is
+    q_mu = mu + rowsum(A * psi) - counts / T and
+    q_A = apply(A) + mu psi^T - S, where the GEMM of ``Window.apply``
+    writes straight into q; the value is x . (q - b), the gradient 2q.
+    x is not checked against the window.
+    """
+    d, psi = window.d, window.psi
+    mu, A = x[:d], x[d:].reshape(d, d)
+    q = np.empty_like(x)
+    q_mu, q_A = q[:d], q[d:].reshape(d, d)
+    window.apply(A, out=q_A)
+    q_A += mu[:, None] * psi
+    np.einsum("jk,jk->j", A, psi, out=q_mu)
+    q_mu += mu
+    q -= window.target
+    value = float(x @ (q - window.target))
     if not grad:
+        return value, None
+    q *= 2
+    return value, q
+
+
+def least_squares(mu, A, window: Window, grad: bool = True) -> LossValueGrad:
+    """Least-squares empirical risk x . (Qx - 2b) at x = (mu, A.ravel())
+    and, with ``grad``, its gradient 2(Qx - b): one GEMM through the Gram
+    integrals per evaluation (``packed_least_squares``)."""
+    mu, A = _checked(mu, A, window)
+    value, g = packed_least_squares(np.concatenate((mu, A.ravel())), window,
+                                    grad)
+    if g is None:
         return LossValueGrad(value=value, grad_mu=None, grad_A=None)
-    grad_mu = 2 * (mu + A_psi) - 2 * counts / T
-    grad_A = 2 * (mu[:, None] * psi + GA) - 2 * window.S
-    return LossValueGrad(value=value, grad_mu=grad_mu, grad_A=grad_A)
+    d = window.d
+    return LossValueGrad(value=value, grad_mu=g[:d],
+                         grad_A=g[d:].reshape(d, d))
 
 
 def neg_log_likelihood_cached(mu, A, window: Window, clip: float = 0.0,

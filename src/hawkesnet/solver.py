@@ -10,6 +10,12 @@ three-operator splitting (Davis & Yin 2017) solves the same problem
 exactly: the loss gradient, the same backtracked prox step and one singular
 value thresholding per iteration, with the adaptive step of Pedregosa &
 Gidel (2018) for both losses.
+
+The solvers step one packed vector x = (mu, A.ravel()), and the loss
+oracle takes and returns packed vectors: ``smooth(x, grad=True) ->
+(value, packed gradient or None)``.  Every iterate is nonnegative, so its
+penalty is priced as w . x plus tau times the trace norm of its A block,
+with w = (w, W.ravel()) packed once per fit.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ import numpy as np
 
 from .features import PROCEDURES, PenaltyWeights, Window, compute_stats, \
     procedure_weights
-# build_loglik_cache and precompute_gram are wrapped here by perfbench/
+# build_loglik_cache, least_squares and precompute_gram are wrapped here by
+# perfbench/; the solvers call packed_least_squares
 from .loss import build_loglik_cache, least_squares, \
-    neg_log_likelihood_cached, precompute_gram  # noqa: F401
-from .penalty import pen_value, prox_l1_nonneg, prox_trace
+    neg_log_likelihood_cached, packed_least_squares, \
+    precompute_gram  # noqa: F401
+from .penalty import pen_value, prox_l1_nonneg, prox_trace, trace_norm
 
 #: first step, backtracking factor and per-iteration step growth
 STEP0, SHRINK, GROWTH = 1.0, 0.5, 2.0
@@ -75,8 +83,8 @@ class LineSearchError(RuntimeError):
 
 
 def _pack(mu, A) -> np.ndarray:
-    """The point (mu, A) as one vector (mu, A.ravel())."""
-    return np.concatenate((mu, np.ravel(A)))
+    """The point (mu, A) as one float vector (mu, A.ravel())."""
+    return np.concatenate((mu, np.ravel(A)), dtype=float)
 
 
 def _unpack(x, d):
@@ -84,11 +92,13 @@ def _unpack(x, d):
     return x[:d], x[d:].reshape(d, d)
 
 
-def _loss(smooth, x, d):
-    """The loss at the packed point x and its gradient, packed as x is
-    (None where the loss gives none)."""
-    f, g_mu, g_A = smooth(*_unpack(x, d))
-    return f, None if g_mu is None else _pack(g_mu, g_A)
+def _price(x, w, d, tau) -> float:
+    """The penalty of a nonnegative packed point x with packed l1 weights
+    w: w . x, plus tau times the trace norm of its A block."""
+    pen = float(w @ x)
+    if tau > 0:
+        pen += tau * trace_norm(_unpack(x, d)[1])
+    return pen
 
 
 def _within_tol(lhs: float, rhs: float) -> bool:
@@ -96,7 +106,7 @@ def _within_tol(lhs: float, rhs: float) -> bool:
     return bool(lhs <= rhs + 1e-12 * max(1.0, abs(rhs)))
 
 
-def _backtrack(smooth, d, w, y, f_y, g, step, u=None):
+def _backtrack(smooth, w, y, f_y, g, step, u=None):
     """Shrink step until the quadratic upper bound holds at the point of the
     weighted-l1 + nonnegativity prox (weights w, a projection where they are
     zero) of y moved along the gradient g, plus ``u`` (the bound reads no
@@ -105,7 +115,7 @@ def _backtrack(smooth, d, w, y, f_y, g, step, u=None):
     s = g if u is None else g + u
     while True:
         x = prox_l1_nonneg(y - step * s, w, step)
-        f_new = smooth(*_unpack(x, d), grad=False)[0]
+        f_new = smooth(x, grad=False)[0]
         dx = x - y
         bound = f_y + float(dx @ g) + float(dx @ dx) / (2 * step)
         if np.isfinite(f_new) and _within_tol(f_new, bound):
@@ -118,11 +128,12 @@ def _backtrack(smooth, d, w, y, f_y, g, step, u=None):
 def _start(smooth, weights, mu0, A0):
     """The packed start, its loss, gradient and penalized objective, and the
     packed l1 weights."""
-    x, d = _pack(mu0, A0), len(mu0)
-    f, g = _loss(smooth, x, d)
+    x = _pack(mu0, A0)
+    f, g = smooth(x)
     if not np.isfinite(f):
         raise LineSearchError("infeasible starting point")
-    return x, f, g, f + pen_value(*_unpack(x, d), weights), \
+    # any start may be passed, so its penalty reads |mu| and |A|
+    return x, f, g, f + pen_value(mu0, A0, weights), \
         _pack(weights.w, weights.W)
 
 
@@ -136,15 +147,15 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
               mu0: np.ndarray, A0: np.ndarray, config: FitConfig) -> FitResult:
     """Accelerated proximal gradient with backtracking and momentum restart.
 
-    ``smooth(mu, A, grad=True) -> (value, grad_mu, grad_A)``, with no
-    gradient (None) for ``grad=False``; the weights carry no trace norm
-    (tau = 0), so their prox is exact.  Each step moves one vector
-    (mu, A.ravel()), packed once per fit, whose views the loss and the
-    penalty read.  One call at the start gives the value and the gradient
-    the first iteration steps from.  Returns the best iterate by penalized
-    objective.  ``sufficient_decrease_ok`` says whether every step from
-    y = x (the first, and after each momentum restart) kept the objective
-    from rising, as an exact prox does.
+    ``smooth(x, grad=True) -> (value, packed gradient)`` at the packed
+    point x = (mu, A.ravel()), with no gradient (None) for ``grad=False``;
+    the weights carry no trace norm (tau = 0), so their prox is exact.
+    Each step moves one packed vector, packed once per fit, which the loss
+    and the penalty read.  One call at the start gives the value and the
+    gradient the first iteration steps from.  Returns the best iterate by
+    penalized objective.  ``sufficient_decrease_ok`` says whether every
+    step from y = x (the first, and after each momentum restart) kept the
+    objective from rising, as an exact prox does.
     """
     if weights.tau > 0:
         raise ValueError("fit_fista takes no trace norm; use fit_split")
@@ -156,13 +167,13 @@ def fit_fista(smooth: Callable, weights: PenaltyWeights,
     decrease_ok = from_x = True
     for k in range(config.max_iter):
         if k:
-            f_y, g = _loss(smooth, y, d)
+            f_y, g = smooth(y)
         if not np.isfinite(f_y):
             # momentum overshot the feasible region; restart from x
             y, t_mom, from_x = x, 1.0, True
-            f_y, g = _loss(smooth, y, d)
-        xn, f_new, step = _backtrack(smooth, d, w, y, f_y, g, trial)
-        obj = f_new + pen_value(*_unpack(xn, d), weights)
+            f_y, g = smooth(y)
+        xn, f_new, step = _backtrack(smooth, w, y, f_y, g, trial)
+        obj = f_new + _price(xn, w, d, 0.0)
         trace.append(obj)
         if from_x:
             decrease_ok &= _within_tol(obj, obj_prev)
@@ -199,12 +210,12 @@ def fit_split(smooth: Callable, weights: PenaltyWeights,
     u = np.zeros_like(z)
     best, trace, trial = (z, math.inf), [], STEP0
     for k in range(config.max_iter):
-        x, f_x, step = _backtrack(smooth, d, w, z, f_z, g, trial, u)
-        obj = f_x + pen_value(*_unpack(x, d), weights)
+        x, f_x, step = _backtrack(smooth, w, z, f_z, g, trial, u)
+        obj = f_x + _price(x, w, d, weights.tau)
         trace.append(obj)
         if k == 0:
-            decrease_ok = _within_tol(f_x + pen_value(*_unpack(x, d), l1),
-                                      f_z + pen_value(*_unpack(z, d), l1))
+            decrease_ok = _within_tol(f_x + _price(x, w, d, 0.0),
+                                      f_z + pen_value(mu0, A0, l1))
         if obj < best[1]:
             best = (x, obj)
         converged = bool(abs(obj - obj_prev) / max(1.0, abs(obj)) < config.tol)
@@ -217,7 +228,7 @@ def fit_split(smooth: Callable, weights: PenaltyWeights,
         while True:
             z = _pack(x[:d], prox_trace(_unpack(x + gamma * u, d)[1],
                                         gamma * weights.tau))
-            f_z, g = _loss(smooth, z, d)
+            f_z, g = smooth(z)
             if np.isfinite(f_z):
                 break
             gamma *= SHRINK
@@ -233,11 +244,20 @@ fit_prisma = fit_split
 
 
 def _make_loss_oracle(window: Window, loss_kind: str):
-    def smooth(mu, A, grad=True):
-        loss = least_squares if loss_kind == "least-squares" \
-            else neg_log_likelihood_cached
-        out = loss(mu, A, window, grad=grad)
-        return out.value, out.grad_mu, out.grad_A
+    """The loss ``loss_kind`` on ``window`` as the solvers call it:
+    ``smooth(x, grad=True) -> (value, packed gradient or None)`` at the
+    packed point x.  The log-likelihood unpacks x once and packs its
+    gradient once."""
+    if loss_kind == "least-squares":
+        def smooth(x, grad=True):
+            return packed_least_squares(x, window, grad)
+        return smooth
+    d = window.d
+
+    def smooth(x, grad=True):
+        out = neg_log_likelihood_cached(*_unpack(x, d), window, grad=grad)
+        return out.value, None if out.grad_mu is None \
+            else _pack(out.grad_mu, out.grad_A)
     return smooth
 
 

@@ -69,6 +69,25 @@ def count_covariance_rate(params):
     return R @ np.diag(mean_stationary_intensity(params)) @ R.T
 
 
+def reference_least_squares(mu, A, window):
+    """The least-squares risk as five separate terms and its gradient,
+    (value, grad_mu, grad_A): the oracle of ``loss.packed_least_squares``,
+    which takes the same quadratic as x . (Qx - 2b) on the packed point."""
+    T, psi, counts = window.horizon_T, window.psi, window.counts
+    GA = window.apply(A)
+    A_psi = np.einsum("jk,jk->j", A, psi)
+    value = float(
+        np.sum(mu * mu)
+        + 2 * np.sum(mu * A_psi)
+        + np.sum(A * GA)
+        - 2 * np.sum(mu * counts) / T
+        - 2 * np.sum(A * window.S)
+    )
+    grad_mu = 2 * (mu + A_psi) - 2 * counts / T
+    grad_A = 2 * (mu[:, None] * psi + GA) - 2 * window.S
+    return value, grad_mu, grad_A
+
+
 def reference_thinning(params, T, seed, max_events=None):
     """Ogata thinning on a d x d state, one exp, product and row sum per
     candidate: the oracle of ``simulate``, which draws the same random

@@ -707,6 +707,36 @@ class TestErrors:
                                    "message": f"{events}: {message}"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--alpha-file", "1,x\n1,1\n"),
+        ("--mu-hat", "0.1\nfoo\n"),
+        ("--A-hat", "1,x\n1,1\n"),
+    ], ids=["fit-alpha-file", "eval-mu-hat", "eval-A-hat"])
+    def test_matrix_and_vector_files_named_in_errors(self, tmp_path, capsys,
+                                                     flag, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        good_mu, good_A = tmp_path / "mu.csv", tmp_path / "A.csv"
+        write_vector(np.full(2, 0.1), str(good_mu))
+        write_matrix_csv(np.full((2, 2), 0.1), str(good_A))
+        events = tmp_path / "e.json"
+        events.write_text(
+            '{"d": 2, "T": 10.0, "events": [[1.0, 2.0, 6.0], [1.5, 7.0]]}')
+        out = tmp_path / "out"
+        if flag == "--alpha-file":
+            argv = ["fit", "--events", str(events), "--out-dir", str(out)]
+        else:
+            argv = ["eval", "--mu-hat", str(good_mu), "--A-hat", str(good_A),
+                    "--mu-true", str(good_mu), "--A-true", str(good_A),
+                    "--out", str(out)]
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        code, stdout, err = run_cli(capsys, *argv, flag, str(bad))
+        assert code == 1 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"{bad}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, which", [
         (("fit", "--alpha-file"), "2 x 2"),
         (("fit", "--alpha", "0"), "positive"),

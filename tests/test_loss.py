@@ -9,7 +9,8 @@ from hawkesnet import (EventData, ModelParams, SimConfig, compute_stats,
                        default_bound_params, least_squares,
                        neg_log_likelihood_cached, simulate)
 from hawkesnet.features import excitation_states
-from tests.conftest import random_instance
+from hawkesnet.loss import packed_least_squares
+from tests.conftest import random_instance, reference_least_squares
 
 
 def H_jk(data, alpha, j, k, t):
@@ -339,3 +340,42 @@ class TestArrayLogLikelihood:
         assert value_only.value == full.value
         assert value_only.grad_mu is None and value_only.grad_A is None
         assert full.grad_mu.shape == (d,) and full.grad_A.shape == (d, d)
+
+
+class TestPackedLeastSquares:
+    """The quadratic on the packed point against the five-term reference."""
+
+    CASES = TestArrayLogLikelihood.CASES
+
+    @staticmethod
+    def point(d):
+        rng = np.random.default_rng(7)
+        return rng.uniform(0.2, 1.0, d), rng.uniform(0.0, 0.3, (d, d))
+
+    @staticmethod
+    def assert_matches(value, grad_mu, grad_A, ref):
+        ref_value, ref_mu, ref_A = ref
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        ref_grad = np.concatenate([ref_mu, ref_A.ravel()])
+        grad = np.concatenate([grad_mu, grad_A.ravel()])
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("name,data_fn", CASES)
+    def test_packed_matches_reference(self, name, data_fn):
+        window = TestArrayLogLikelihood.window(name, data_fn)
+        d = window.d
+        mu, A = self.point(d)
+        x = np.concatenate([mu, A.ravel()])
+        value, g = packed_least_squares(x, window)
+        self.assert_matches(value, g[:d], g[d:].reshape(d, d),
+                            reference_least_squares(mu, A, window))
+        assert packed_least_squares(x, window, grad=False) == (value, None)
+
+    @pytest.mark.parametrize("name,data_fn", CASES)
+    def test_least_squares_matches_reference(self, name, data_fn):
+        window = TestArrayLogLikelihood.window(name, data_fn)
+        mu, A = self.point(window.d)
+        out = least_squares(mu, A, window)
+        self.assert_matches(out.value, out.grad_mu, out.grad_A,
+                            reference_least_squares(mu, A, window))
+        assert least_squares(mu, A, window, grad=False).value == out.value

@@ -7,14 +7,14 @@ from hawkesnet import (CVResult, EventData, FitConfig, ModelParams,
                        PenaltyWeights, ScenarioConfig, SimConfig,
                        compute_stats, cross_validate,
                        default_bound_params, fit_hawkes, generate_scenario,
-                       mean_stationary_intensity, pen_value,
-                       practical_weights, simulate)
+                       mean_stationary_intensity, neg_log_likelihood_cached,
+                       pen_value, practical_weights, simulate)
 from hawkesnet import solver
-from hawkesnet.features import constant_weights
+from hawkesnet.features import constant_weights, procedure_weights
 from hawkesnet.solver import (LineSearchError, _default_init,
-                              _make_loss_oracle, _solve, fit_fista,
+                              _make_loss_oracle, _pack, _solve, fit_fista,
                               fit_split, heldout_loglik, split_halves)
-from tests.conftest import random_instance
+from tests.conftest import random_instance, reference_least_squares
 
 
 def zero_weights(d):
@@ -49,7 +49,8 @@ class TestFitFista:
         window = compute_stats(data, params.alpha)
         res = fit_hawkes(window, w, FitConfig(max_iter=80))
         smooth = _make_loss_oracle(window, "least-squares")
-        final_obj = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
+        final_obj = smooth(_pack(res.mu, res.A))[0] \
+            + pen_value(res.mu, res.A, w)
         assert final_obj <= min(res.objective_trace) + 1e-12
 
     def test_sufficient_decrease_on_accepted_steps(self):
@@ -60,9 +61,9 @@ class TestFitFista:
         smooth = _make_loss_oracle(compute_stats(data, params.alpha),
                                    "least-squares")
 
-        def checked_smooth(mu, A, grad=True):
-            out = smooth(mu, A, grad)
-            accepted.append((mu.copy(), A.copy(), out[0]))
+        def checked_smooth(x, grad=True):
+            out = smooth(x, grad)
+            accepted.append((x.copy(), out[0]))
             return out
 
         res = fit_fista(checked_smooth, w, np.zeros(2), np.zeros((2, 2)),
@@ -91,20 +92,37 @@ class TestFitFista:
         params = default_bound_params(3, mu=0.2, coupling_opnorm=0.6)
         data = simulate(SimConfig(params=params, horizon_T=20.0, seed=9))
         values = []
-        loss = solver._loss
+        make_oracle = solver._make_loss_oracle
 
-        def spied(smooth, x, d):
-            out = loss(smooth, x, d)
-            values.append(out[0])
-            return out
+        def spied_oracle(window, loss_kind):
+            smooth = make_oracle(window, loss_kind)
 
-        monkeypatch.setattr(solver, "_loss", spied)
+            def spied(x, grad=True):
+                out = smooth(x, grad)
+                if grad:  # the start, each y and each restart
+                    values.append(out[0])
+                return out
+            return spied
+
+        monkeypatch.setattr(solver, "_make_loss_oracle", spied_oracle)
         res = fit_hawkes(compute_stats(data, params.alpha), zero_weights(3),
                          FitConfig(loss_kind="log-likelihood", max_iter=200))
         assert not all(np.isfinite(values))
         assert res.converged and res.sufficient_decrease_ok
         estimate = np.concatenate([res.mu, res.A.ravel()])
         assert np.all(np.isfinite(estimate)) and np.all(estimate >= 0)
+
+    @pytest.mark.parametrize("loss_kind", ["least-squares", "log-likelihood"])
+    def test_integer_start_is_taken_as_float(self, loss_kind):
+        params, data = random_instance(6, d=2, horizon=30.0)
+        window = compute_stats(data, params.alpha)
+        cfg = FitConfig(loss_kind=loss_kind, max_iter=30)
+        ones = (np.ones(2, dtype=int), np.ones((2, 2), dtype=int))
+        got = fit_hawkes(window, zero_weights(2), cfg, start=ones)
+        want = fit_hawkes(window, zero_weights(2), cfg,
+                          start=tuple(a.astype(float) for a in ones))
+        assert got.objective_trace == want.objective_trace
+        assert np.array_equal(got.A, want.A)
 
     def test_consistency_long_run(self):
         # d=2, T=5000 unpenalized: median relative error over 5 seeds < 15%
@@ -152,11 +170,12 @@ class TestFitFista:
         window = compute_stats(data, params.alpha)
         mu0, A0 = _default_init(window, loss_kind)
         smooth = _make_loss_oracle(window, loss_kind)
+        x0 = _pack(mu0, A0)
         at_start = []
 
-        def counted(mu, A, grad=True):
-            at_start.append(np.array_equal(mu, mu0) and np.array_equal(A, A0))
-            return smooth(mu, A, grad)
+        def counted(x, grad=True):
+            at_start.append(np.array_equal(x, x0))
+            return smooth(x, grad)
 
         res = fit_fista(counted, zero_weights(3), mu0, A0,
                         FitConfig(loss_kind=loss_kind, max_iter=20))
@@ -181,8 +200,10 @@ class TestFitSplit:
         cfg = FitConfig(max_iter=300, tol=1e-12)
         res_p = fit_split(smooth, w, np.zeros(2), np.zeros((2, 2)), cfg)
         res_f = fit_hawkes(window, w, cfg)
-        obj_p = smooth(res_p.mu, res_p.A)[0] + pen_value(res_p.mu, res_p.A, w)
-        obj_f = smooth(res_f.mu, res_f.A)[0] + pen_value(res_f.mu, res_f.A, w)
+        obj_p = smooth(_pack(res_p.mu, res_p.A))[0] \
+            + pen_value(res_p.mu, res_p.A, w)
+        obj_f = smooth(_pack(res_f.mu, res_f.A))[0] \
+            + pen_value(res_f.mu, res_f.A, w)
         assert obj_p == pytest.approx(obj_f, rel=1e-4, abs=1e-8)
 
     def test_mixed_penalty_nonnegative_output(self):
@@ -225,7 +246,7 @@ class TestFitSplit:
                    constant_weights(3, 0.01, 0.01, tau=0.05),
                    FitConfig(loss_kind=loss_kind, max_iter=50))
         assert len(steps) > 1
-        for (_, _, _, y, f_y, g, *_), (x, f_x, step) in steps:
+        for (_, _, y, f_y, g, *_), (x, f_x, step) in steps:
             dx = x - y
             rhs = f_y + dx @ g + dx @ dx / (2 * step)
             assert f_x <= rhs + 1e-12 * max(1.0, abs(rhs))
@@ -244,10 +265,11 @@ class TestFitSplit:
 
     @staticmethod
     def quadratic(m, B, c=1.0):
-        """c/2 |mu - m|^2 + c/2 |A - B|^2 and its gradient."""
-        def smooth(mu, A, grad=True):
-            return (c / 2 * (np.sum((mu - m) ** 2) + np.sum((A - B) ** 2)),
-                    c * (mu - m), c * (A - B))
+        """c/2 |mu - m|^2 + c/2 |A - B|^2 and its gradient, packed."""
+        target = _pack(m, B)
+
+        def smooth(x, grad=True):
+            return c / 2 * np.sum((x - target) ** 2), c * (x - target)
         return smooth
 
     def test_permuted_diagonal_closed_form(self):
@@ -317,7 +339,7 @@ class TestFitSplit:
         assert np.all(np.isfinite(res.mu)) and np.all(np.isfinite(res.A))
         assert res.mu.min() >= 0 and res.A.min() >= 0
         mu0, A0 = _default_init(window, cfg.loss_kind)
-        start = _make_loss_oracle(window, cfg.loss_kind)(mu0, A0)[0] \
+        start = _make_loss_oracle(window, cfg.loss_kind)(_pack(mu0, A0))[0] \
             + pen_value(mu0, A0, weights)
         assert res.final_objective < start
 
@@ -363,10 +385,32 @@ class TestReportedFields:
         w = practical_weights(window, 1.0, 1.0)
         res = fit_hawkes(window, w)
         smooth = _make_loss_oracle(window, "least-squares")
-        estimate = smooth(res.mu, res.A)[0] + pen_value(res.mu, res.A, w)
+        estimate = smooth(_pack(res.mu, res.A))[0] \
+            + pen_value(res.mu, res.A, w)
         assert res.objective_trace[-1] > estimate
         assert res.as_dict()["final_objective"] == pytest.approx(estimate,
                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("loss_kind", ["least-squares", "log-likelihood"])
+    @pytest.mark.parametrize("procedure,solver_name",
+                             [("wL1", "fista"), ("wL1Nuclear", "split")])
+    def test_priced_objective_is_the_exact_objective(self, loss_kind,
+                                                     procedure, solver_name):
+        # the solvers price nonnegative packed iterates as w . x + tau ||A||_*
+        params, _ = generate_scenario(ScenarioConfig(d=10, seed=4))
+        data = simulate(SimConfig(params=params, horizon_T=300.0, seed=4))
+        window = compute_stats(data, params.alpha)
+        weights = procedure_weights(procedure, window, 1.0, 1.0, 0.01)
+        res = fit_hawkes(window, weights, FitConfig(loss_kind=loss_kind))
+        assert res.solver == solver_name
+        if loss_kind == "least-squares":
+            loss = reference_least_squares(res.mu, res.A, window)[0]
+        else:
+            loss = neg_log_likelihood_cached(res.mu, res.A, window).value
+        exact = loss + pen_value(res.mu, res.A, weights)
+        assert res.final_objective == pytest.approx(exact, rel=1e-12)
+        assert min(res.objective_trace) == pytest.approx(exact, rel=1e-12)
+        assert res.iterations_used == len(res.objective_trace)
 
 
 class TestFitConfigValidation:
@@ -563,8 +607,8 @@ class TestGradientRequests:
     def counted(window, loss_kind, calls):
         smooth = _make_loss_oracle(window, loss_kind)
 
-        def counted_smooth(mu, A, grad=True):
-            out = smooth(mu, A, grad)
+        def counted_smooth(x, grad=True):
+            out = smooth(x, grad)
             calls.append((grad, bool(np.isfinite(out[0]))))
             assert (out[1] is None) == (not grad or not np.isfinite(out[0]))
             return out
